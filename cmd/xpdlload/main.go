@@ -10,8 +10,9 @@
 // -addr accepts a comma-separated list of xpdld base URLs; more than
 // one switches on cluster mode: every request routes over a rendezvous
 // ring (replication factor -replicas) to the model's replica set,
-// spreads across healthy replicas, and fails over on transport errors
-// — a request only counts as failed when EVERY member refused it. The
+// spreads across healthy replicas, and fails over under the failover
+// rules of package shard (Ring.Route) — a request only counts as failed
+// when EVERY member refused it. The
 // report gains a "route:" line (members up, picks, failovers) and the
 // run exports the same xpdl_route_* metrics the serving tier uses, so
 // a kill-a-member experiment can assert zero failed requests while the
@@ -60,6 +61,7 @@ import (
 	"time"
 
 	"xpdl/internal/obs"
+	"xpdl/internal/repo"
 	"xpdl/internal/serve"
 	"xpdl/internal/shard"
 )
@@ -262,22 +264,20 @@ func main() {
 				pr := protos[i%len(protos)]
 				ps := st.perProto[pr]
 				sampled := sampler.Sample()
-				// Walk the ring's failover order for this request; the
-				// single-endpoint order is just that endpoint. A transport
-				// error marks the member down and moves on — only a request
-				// that every member refused counts as failed.
+				// Route the request under the ring's failover rules; the
+				// single-endpoint order is just that endpoint. Only a
+				// request no member answered counts as failed; when every
+				// member is busy, the last 503 is the answer.
 				var resp *http.Response
-				var reqErr error
 				t0 := time.Now()
-				for _, member := range ring.Order(*model) {
+				_ = ring.Route(context.Background(), *model, func(member string) (shard.Answer, error) {
 					var body io.Reader
 					if p.body != "" {
 						body = strings.NewReader(p.body)
 					}
 					req, err := http.NewRequest(p.method, member+modelPath+p.path, body)
 					if err != nil {
-						reqErr = err
-						break
+						return shard.Answer{}, err
 					}
 					if p.body != "" {
 						req.Header.Set("Content-Type", "application/json")
@@ -293,14 +293,17 @@ func main() {
 						}
 						req.Header.Set(obs.TraceparentHeader, tc.Traceparent())
 					}
-					resp, reqErr = client.Do(req)
-					if reqErr == nil {
-						ring.ReportSuccess(member)
-						break
+					r, err := client.Do(req)
+					if err != nil {
+						return shard.Answer{}, err
 					}
-					ring.ReportFailure(member)
-				}
-				if reqErr != nil || resp == nil {
+					if resp != nil {
+						resp.Body.Close()
+					}
+					resp = r
+					return shard.Answer{Status: r.StatusCode, RetryAfter: repo.RetryAfter(r)}, nil
+				})
+				if resp == nil {
 					ps.transport++
 					continue
 				}

@@ -4,9 +4,11 @@
 // RouterClient uses: every /v1/models/{model}/... request hashes the
 // model identifier to its replica set (factor -replicas), is forwarded
 // to a healthy replica, spreads across replicas, and fails over —
-// inside the one client request — on connect errors and on 503s
-// honoring Retry-After. Non-model paths (/v1/models, /v1/jobs,
-// /v1/stats/...) forward to any healthy member.
+// inside the one client request — under the failover rules of package
+// shard (Ring.Route). A job lives on the one member that accepted it,
+// so /v1/jobs/{id}... requests walk the members until one knows the
+// job: there a member's 404 means "not here". Other non-model paths
+// (/v1/models, /v1/jobs, /v1/stats/...) forward to any healthy member.
 //
 // Membership is health-checked: a background prober hits each member's
 // /healthz every -probe-interval, marking members down after
@@ -46,6 +48,7 @@ import (
 	"time"
 
 	"xpdl/internal/obs"
+	"xpdl/internal/repo"
 	"xpdl/internal/serve"
 	"xpdl/internal/shard"
 )
@@ -110,23 +113,11 @@ func main() {
 	ring.Start(ctx)
 	defer ring.Stop()
 
-	rt := &router{
-		ring: ring,
-		// No overall timeout: SSE forwards are long-lived. The members'
-		// own request timeouts bound regular queries.
-		forward: &http.Client{Transport: serve.SharedTransport},
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = obs.Default().WritePrometheus(w)
-	})
-	mux.HandleFunc("/", rt.handleForward)
-
 	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
+		Addr: *addr,
+		// No overall forward timeout: SSE forwards are long-lived. The
+		// members' own request timeouts bound regular queries.
+		Handler:           newHandler(ring, &http.Client{Transport: serve.SharedTransport}),
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
@@ -145,6 +136,21 @@ func main() {
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_ = httpSrv.Shutdown(shutdownCtx)
+}
+
+// newHandler builds the routing tier over ring: the router's own
+// /healthz and /metrics, and everything else forwarded to the members
+// through client.
+func newHandler(ring *shard.Ring, client *http.Client) http.Handler {
+	rt := &router{ring: ring, forward: client}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", rt.handleHealthz)
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		_ = obs.Default().WritePrometheus(w)
+	})
+	mux.HandleFunc("/", rt.handleForward)
+	return mux
 }
 
 func (rt *router) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -201,36 +207,31 @@ func (rt *router) handleForward(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	var lastStatus *http.Response
-	for _, member := range rt.ring.Order(ident) {
+	jobPath := strings.HasPrefix(r.URL.Path, "/v1/jobs/")
+	// last holds the newest member response: the final answer, or, when
+	// no member gave one, the last 503 or "not here" to relay instead.
+	var last *http.Response
+	_ = rt.ring.Route(r.Context(), ident, func(member string) (shard.Answer, error) {
 		resp, err := rt.forwardTo(r, member, body)
 		if err != nil {
-			if r.Context().Err() != nil {
-				return // the client hung up; nothing left to answer
-			}
-			rt.ring.ReportFailure(member)
-			continue
+			return shard.Answer{}, err
 		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			rt.ring.ReportBusy(member, retryAfterOf(resp))
-			if lastStatus != nil {
-				lastStatus.Body.Close()
-			}
-			lastStatus = resp
-			continue
+		if last != nil {
+			last.Body.Close()
 		}
-		rt.ring.ReportSuccess(member)
-		if lastStatus != nil {
-			lastStatus.Body.Close()
-		}
-		rt.relay(w, resp)
+		last = resp
+		return shard.Answer{
+			Status:     resp.StatusCode,
+			RetryAfter: repo.RetryAfter(resp),
+			NotHere:    jobPath && resp.StatusCode == http.StatusNotFound,
+		}, nil
+	})
+	if last != nil {
+		rt.relay(w, last)
 		return
 	}
-	// Every member failed. Relay the last real answer (a 503 chain) if
-	// any member produced one; otherwise the cluster is unreachable.
-	if lastStatus != nil {
-		rt.relay(w, lastStatus)
-		return
+	if r.Context().Err() != nil {
+		return // the client hung up; nothing left to answer
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusBadGateway)
@@ -295,26 +296,4 @@ func (rt *router) relay(w http.ResponseWriter, resp *http.Response) {
 			return
 		}
 	}
-}
-
-// retryAfterOf parses the Retry-After of an upstream 503 in both RFC
-// 9110 forms; zero means absent.
-func retryAfterOf(resp *http.Response) time.Duration {
-	v := resp.Header.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
-	var secs int
-	if _, err := fmt.Sscanf(v, "%d", &secs); err == nil {
-		if secs < 0 {
-			return 0
-		}
-		return time.Duration(secs) * time.Second
-	}
-	if at, err := http.ParseTime(v); err == nil {
-		if d := time.Until(at); d > 0 {
-			return d
-		}
-	}
-	return 0
 }

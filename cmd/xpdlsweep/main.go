@@ -142,28 +142,15 @@ func runRemote(ctx context.Context, base, system string, spec *scenario.Spec, qu
 		fmt.Fprintf(os.Stderr, "xpdlsweep: job %s accepted (%d points)\n", acc.Job, acc.Total)
 	}
 	onPoint := progress(os.Stderr)
-	// Stream progress until the terminal event, resuming from the last
-	// seen sequence number if the stream drops.
-	var since uint64
-	for {
-		terminal := false
-		err := c.JobStream(ctx, acc.Job, since, func(ev serve.JobEvent) error {
-			since = ev.Seq
-			if ev.Type == "point" && ev.Point != nil {
-				if !quiet {
-					onPoint(*ev.Point)
-				}
-				return nil
-			}
-			terminal = true
-			return nil
-		})
-		if err != nil {
-			return nil, err
+	// JobStream resumes dropped streams itself and returns nil only
+	// after the terminal event.
+	if err := c.JobStream(ctx, acc.Job, 0, func(ev serve.JobEvent) error {
+		if ev.Type == "point" && ev.Point != nil && !quiet {
+			onPoint(*ev.Point)
 		}
-		if terminal {
-			break
-		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	info, err := c.JobStatus(ctx, acc.Job, true)
 	if err != nil {

@@ -300,7 +300,7 @@ func (r *Repository) fetchOnce(ctx context.Context, base, ident string) (*model.
 		obs.SpanFromContext(ctx).Event("304 not modified; served from disk cache")
 		return c, nil
 	case resp.StatusCode != http.StatusOK:
-		return nil, &statusError{url: url, code: resp.StatusCode, retryAfter: retryAfterOf(resp)}
+		return nil, &statusError{url: url, code: resp.StatusCode, retryAfter: RetryAfter(resp)}
 	}
 	src, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil {
@@ -319,11 +319,12 @@ func (r *Repository) fetchOnce(ctx context.Context, base, ident string) (*model.
 	return c, nil
 }
 
-// retryAfterOf parses a Retry-After header in both RFC 9110 forms:
-// delta-seconds and HTTP-date (a date in the past means no delay).
-// Unparseable values fall back to zero — the backoff schedule covers
-// them; backoffFor clamps whatever this returns to MaxBackoff.
-func retryAfterOf(resp *http.Response) time.Duration {
+// RetryAfter parses a response's Retry-After header in both RFC 9110
+// forms: delta-seconds and HTTP-date (a date in the past means no
+// delay). Absent or unparseable values give zero, which callers treat
+// as "no hint". It is the one parser every HTTP client in this module
+// uses: the repository fetcher, the query client and the routing tier.
+func RetryAfter(resp *http.Response) time.Duration {
 	v := resp.Header.Get("Retry-After")
 	if v == "" {
 		return 0
@@ -384,7 +385,7 @@ func fetchURLOnce(ctx context.Context, client *http.Client, url string, timeout 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, &statusError{url: url, code: resp.StatusCode, retryAfter: retryAfterOf(resp)}
+		return nil, &statusError{url: url, code: resp.StatusCode, retryAfter: RetryAfter(resp)}
 	}
 	return io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 }

@@ -395,8 +395,10 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestRetryAfterForms pins retryAfterOf on both RFC 9110 forms of the
+// TestRetryAfterForms pins RetryAfter on both RFC 9110 forms of the
 // header: delta-seconds and HTTP-date (the latter used to be dropped).
+// Values that are neither form read as no hint; the routing tier once
+// had its own parser that read "7s" and "1.5" as whole seconds.
 func TestRetryAfterForms(t *testing.T) {
 	mk := func(v string) *http.Response {
 		h := http.Header{}
@@ -405,33 +407,34 @@ func TestRetryAfterForms(t *testing.T) {
 		}
 		return &http.Response{Header: h}
 	}
-	if got := retryAfterOf(mk("")); got != 0 {
-		t.Errorf("absent header: %v, want 0", got)
-	}
-	if got := retryAfterOf(mk("7")); got != 7*time.Second {
-		t.Errorf("delta-seconds: %v, want 7s", got)
-	}
-	if got := retryAfterOf(mk("-3")); got != 0 {
-		t.Errorf("negative seconds: %v, want 0", got)
-	}
-	if got := retryAfterOf(mk("soon")); got != 0 {
-		t.Errorf("garbage: %v, want 0", got)
-	}
-	// HTTP-date ~30s out parses to a positive duration near 30s.
 	future := time.Now().Add(30 * time.Second).UTC().Format(http.TimeFormat)
-	if got := retryAfterOf(mk(future)); got <= 25*time.Second || got > 31*time.Second {
-		t.Errorf("HTTP-date: %v, want ~30s", got)
-	}
-	// A date in the past means no extra delay.
 	past := time.Now().Add(-time.Minute).UTC().Format(http.TimeFormat)
-	if got := retryAfterOf(mk(past)); got != 0 {
-		t.Errorf("past HTTP-date: %v, want 0", got)
+	for _, tc := range []struct {
+		name     string
+		header   string
+		min, max time.Duration
+	}{
+		{"absent header", "", 0, 0},
+		{"delta-seconds", "7", 7 * time.Second, 7 * time.Second},
+		{"negative seconds", "-3", 0, 0},
+		{"garbage", "soon", 0, 0},
+		{"unit suffix", "7s", 0, 0},
+		{"fractional seconds", "1.5", 0, 0},
+		{"explicit plus sign", "+7", 7 * time.Second, 7 * time.Second},
+		// HTTP-date ~30s out parses to a positive duration near 30s.
+		{"HTTP-date", future, 25*time.Second + 1, 31 * time.Second},
+		// A date in the past means no extra delay.
+		{"past HTTP-date", past, 0, 0},
+	} {
+		if got := RetryAfter(mk(tc.header)); got < tc.min || got > tc.max {
+			t.Errorf("%s (%q): %v, want in [%v, %v]", tc.name, tc.header, got, tc.min, tc.max)
+		}
 	}
 	// End to end: an HTTP-date Retry-After flows through backoffFor and
 	// is clamped to MaxBackoff like the seconds form.
 	cfg := FetchConfig{MaxBackoff: 2 * time.Second}.withDefaults()
 	farOut := time.Now().Add(time.Hour).UTC().Format(http.TimeFormat)
-	se := &statusError{code: 429, retryAfter: retryAfterOf(mk(farOut))}
+	se := &statusError{code: 429, retryAfter: RetryAfter(mk(farOut))}
 	if got := cfg.backoffFor(0, se); got != cfg.MaxBackoff {
 		t.Errorf("HTTP-date Retry-After not capped: %v", got)
 	}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"xpdl/internal/obs"
+	"xpdl/internal/repo"
 	"xpdl/internal/rtmodel"
 	"xpdl/internal/scenario"
 )
@@ -46,9 +47,9 @@ type Client struct {
 	// for less bandwidth and per-request allocation.
 	Proto Proto
 	// WatchRetries bounds consecutive failed reconnect attempts in
-	// Watch before it gives up: 0 means the default (5), negative
-	// disables reconnecting entirely. The counter resets every time a
-	// reconnected stream delivers an event.
+	// Watch and JobStream before they give up: 0 means the default
+	// (5), negative disables reconnecting entirely. The counter resets
+	// every time a reconnected stream delivers an event.
 	WatchRetries int
 }
 
@@ -250,28 +251,7 @@ func (c *Client) statusError(resp *http.Response, path, ct string) error {
 		_ = json.Unmarshal(data, &envelope)
 		msg = envelope.Error
 	}
-	return &apiStatusError{Status: resp.StatusCode, Msg: msg, RetryAfter: retryAfterHeader(resp)}
-}
-
-// retryAfterHeader parses Retry-After in both RFC 9110 forms:
-// delta-seconds and HTTP-date. Zero means absent or unparseable.
-func retryAfterHeader(resp *http.Response) time.Duration {
-	v := resp.Header.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs < 0 {
-			return 0
-		}
-		return time.Duration(secs) * time.Second
-	}
-	if at, err := http.ParseTime(v); err == nil {
-		if d := time.Until(at); d > 0 {
-			return d
-		}
-	}
-	return 0
+	return &apiStatusError{Status: resp.StatusCode, Msg: msg, RetryAfter: repo.RetryAfter(resp)}
 }
 
 // Health fetches /healthz.
@@ -399,25 +379,40 @@ func (c *Client) Refresh(ctx context.Context, ident string) (RefreshResponse, er
 // fn returns an error — fn's error is returned as-is, so callers can
 // stop after N events with a sentinel. Cancellation mid-stream returns
 // ctx.Err(), so callers can tell a deliberate stop from a server-side
-// end of stream.
-//
-// A stream that ends WITHOUT the server's eof marker — the connection
-// dropped — is reconnected automatically with Last-Event-ID set to the
-// last seen sequence number, so no event is lost across the gap
-// (WatchRetries bounds consecutive failed attempts). 4xx answers never
-// retry: the request itself is wrong.
+// end of stream. A dropped connection is resumed as described on
+// follow.
 func (c *Client) Watch(ctx context.Context, ident string, since uint64, fn func(WatchEvent) error) error {
+	return c.follow(ctx, "/v1/models/"+url.PathEscape(ident)+"/watch", since, true, func(data []byte) (uint64, bool, error) {
+		var ev WatchEvent
+		if err := json.Unmarshal(data, &ev); err != nil {
+			return 0, false, fmt.Errorf("xpdld: watch event: %w", err)
+		}
+		return ev.Seq, false, fn(ev)
+	})
+}
+
+// follow runs the SSE stream at path under the resume contract Watch
+// and JobStream share. The first request asks for the events after
+// since (?since=). A stream that ends WITHOUT the server's eof marker —
+// the connection dropped — is reconnected with Last-Event-ID set to the
+// last delivered sequence number, so no event is lost across the gap;
+// so is one the server ended before a terminal event when eofEnds is
+// false. WatchRetries bounds consecutive failed attempts and every
+// delivered event resets the count. 4xx answers and a wrong
+// Content-Type never retry: the request or the peer is wrong, and
+// asking again cannot fix it. deliver decodes and hands on one event,
+// returning its sequence number and whether it was the terminal event;
+// its error ends follow as-is. follow returns nil after a terminal
+// event, or after the server's eof when eofEnds.
+func (c *Client) follow(ctx context.Context, path string, since uint64, eofEnds bool, deliver func(data []byte) (seq uint64, terminal bool, err error)) error {
 	const baseBackoff = 50 * time.Millisecond
 	retries := c.WatchRetries
 	if retries == 0 {
 		retries = 5
 	}
-	path := "/v1/models/" + url.PathEscape(ident) + "/watch"
 	last := since
 	attempts := 0
-	first := true
-	for {
-		var cbErr error
+	for first := true; ; first = false {
 		q := url.Values{}
 		lastID := ""
 		if first && last > 0 {
@@ -427,34 +422,34 @@ func (c *Client) Watch(ctx context.Context, ident string, since uint64, fn func(
 			// last seen sequence number (0 replays the whole buffer).
 			lastID = strconv.FormatUint(last, 10)
 		}
-		first = false
+		var cbErr error
+		terminal := false
 		clean, err := c.streamSSE(ctx, path, q, lastID, func(ev sseEvent) error {
-			var we WatchEvent
-			if jerr := json.Unmarshal(ev.Data, &we); jerr != nil {
-				cbErr = fmt.Errorf("xpdld: watch event: %w", jerr)
-				return cbErr
+			seq, term, derr := deliver(ev.Data)
+			if derr != nil {
+				cbErr = derr
+				return derr
 			}
-			last = we.Seq
+			last, terminal = seq, term
 			attempts = 0 // a live stream resets the retry budget
-			if ferr := fn(we); ferr != nil {
-				cbErr = ferr
-				return ferr
-			}
 			return nil
 		})
 		switch {
 		case cbErr != nil:
 			return cbErr
+		case terminal:
+			return nil
 		case ctx.Err() != nil:
 			return ctx.Err()
-		case err == nil && clean:
+		case err == nil && clean && eofEnds:
 			return nil // server said eof: drain or eviction, not a drop
 		}
 		// The stream dropped (EOF without the marker, a read error, or a
 		// transport/5xx failure). Reconnect with the last seen id unless
 		// the budget is spent or the failure is non-retryable.
 		var se *apiStatusError
-		if errors.As(err, &se) && se.Status < 500 {
+		var cte *ContentTypeError
+		if errors.As(err, &se) && se.Status < 500 || errors.As(err, &cte) {
 			return err
 		}
 		attempts++
@@ -462,7 +457,7 @@ func (c *Client) Watch(ctx context.Context, ident string, since uint64, fn func(
 			if err != nil {
 				return err
 			}
-			return fmt.Errorf("xpdld: watch %s: stream dropped and reconnect budget spent", ident)
+			return fmt.Errorf("xpdld: %s: stream dropped and reconnect budget spent", path)
 		}
 		backoff := baseBackoff << (attempts - 1)
 		if backoff > time.Second {
@@ -643,20 +638,16 @@ func (c *Client) JobCancel(ctx context.Context, id string) (JobInfo, error) {
 }
 
 // JobStream follows one job's progress over SSE, calling fn for every
-// event (history after since replays first). It returns nil once the
-// terminal event has been delivered, ctx.Err() on cancellation, and
-// fn's error as-is.
+// event (history after since replays first). A stream that drops, or
+// that the server ends early (slow-consumer eviction), is resumed as
+// described on follow. It returns nil only once the terminal event has
+// been delivered, ctx.Err() on cancellation, and fn's error as-is.
 func (c *Client) JobStream(ctx context.Context, id string, since uint64, fn func(JobEvent) error) error {
-	q := url.Values{}
-	if since > 0 {
-		q.Set("since", strconv.FormatUint(since, 10))
-	}
-	_, err := c.streamSSE(ctx, "/v1/jobs/"+url.PathEscape(id)+"/stream", q, "", func(sev sseEvent) error {
+	return c.follow(ctx, "/v1/jobs/"+url.PathEscape(id)+"/stream", since, false, func(data []byte) (uint64, bool, error) {
 		var ev JobEvent
-		if err := json.Unmarshal(sev.Data, &ev); err != nil {
-			return fmt.Errorf("xpdld: job event: %w", err)
+		if err := json.Unmarshal(data, &ev); err != nil {
+			return 0, false, fmt.Errorf("xpdld: job event: %w", err)
 		}
-		return fn(ev)
+		return ev.Seq, ev.Type != "point", fn(ev)
 	})
-	return err
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sort"
 	"strconv"
@@ -103,9 +104,13 @@ type repoProvider interface {
 	Repo() *repo.Repository
 }
 
+// jobStreamBuffer is the queue depth of every job stream subscriber.
+const jobStreamBuffer = 256
+
 // job is one queued/running/retained sweep.
 type job struct {
 	id      string
+	seq     uint64 // creation order within its manager
 	model   string
 	spec    *scenario.Spec
 	created time.Time
@@ -113,49 +118,35 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu         sync.Mutex
-	state      string
-	started    time.Time
-	finished   time.Time
-	errMsg     string
-	total      int
-	done       int
-	result     *scenario.Result
-	events     []JobEvent
-	subs       map[chan JobEvent]bool
-	subsClosed bool
+	// log keeps the job's full event history, so a stream that
+	// reconnects with its last sequence number resumes losslessly.
+	log *eventLog[JobEvent]
+
+	mu       sync.Mutex
+	state    string
+	started  time.Time
+	finished time.Time
+	errMsg   string
+	total    int
+	done     int
+	result   *scenario.Result
 }
 
-// publishLocked appends one event and fans it out; j.mu is held.
-// Subscribers whose buffer is full are evicted (channel closed) — the
-// full history makes reconnect-with-since lossless.
+// publishLocked stamps one event with the job's progress and appends
+// it to the log; j.mu is held, so events carry monotonic Done counts.
 func (j *job) publishLocked(ev JobEvent) {
 	ev.Job = j.id
-	ev.Seq = uint64(len(j.events)) + 1
 	ev.Done = j.done
 	ev.Total = j.total
-	j.events = append(j.events, ev)
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-			close(ch)
-			delete(j.subs, ch)
-		}
-	}
+	j.log.publish(ev)
 }
 
-// closeSubsLocked ends every subscriber stream; j.mu is held.
-func (j *job) closeSubsLocked() {
-	if j.subsClosed {
-		return
-	}
-	j.subsClosed = true
-	for ch := range j.subs {
-		close(ch)
-		delete(j.subs, ch)
-	}
+func (ev JobEvent) withSeq(seq uint64) JobEvent {
+	ev.Seq = seq
+	return ev
 }
+
+func (ev JobEvent) sseFrame() (string, uint64) { return ev.Type, ev.Seq }
 
 // point records one engine point callback.
 func (j *job) point(p scenario.PointResult) {
@@ -180,7 +171,7 @@ func (j *job) finish(state, errMsg string, res *scenario.Result) {
 	j.finished = time.Now()
 	typ := map[string]string{JobStateDone: "done", JobStateFailed: "failed", JobStateCanceled: "canceled"}[state]
 	j.publishLocked(JobEvent{Type: typ, Error: errMsg})
-	j.closeSubsLocked()
+	j.log.close()
 	switch state {
 	case JobStateDone:
 		mJobsCompleted.Inc()
@@ -189,34 +180,6 @@ func (j *job) finish(state, errMsg string, res *scenario.Result) {
 	case JobStateCanceled:
 		mJobsCanceled.Inc()
 	}
-}
-
-// subscribe returns the history after since plus a live channel (nil
-// when the job is already terminal — the replay is complete then).
-func (j *job) subscribe(since uint64) ([]JobEvent, chan JobEvent, func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var replay []JobEvent
-	if since < uint64(len(j.events)) {
-		replay = append(replay, j.events[since:]...)
-	}
-	if j.subsClosed {
-		return replay, nil, func() {}
-	}
-	ch := make(chan JobEvent, 256)
-	if j.subs == nil {
-		j.subs = map[chan JobEvent]bool{}
-	}
-	j.subs[ch] = true
-	cancel := func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if j.subs[ch] {
-			delete(j.subs, ch)
-			close(ch)
-		}
-	}
-	return replay, ch, cancel
 }
 
 // info renders the polling view. The result's per-point list is heavy
@@ -260,6 +223,10 @@ type jobManager struct {
 	queue   chan *job
 	wg      sync.WaitGroup
 
+	// tag makes this manager's job IDs unique across a cluster, so a
+	// routing tier can look a job up on every member.
+	tag string
+
 	mu   sync.Mutex
 	seq  uint64
 	jobs map[string]*job
@@ -294,6 +261,7 @@ func newJobManager(provider repoProvider, cfg Config) *jobManager {
 		baseCtx:   ctx,
 		stop:      cancel,
 		queue:     make(chan *job, cfg.JobQueue),
+		tag:       fmt.Sprintf("%08x", rand.Uint32()),
 		jobs:      map[string]*job{},
 	}
 	for i := 0; i < cfg.JobConcurrency; i++ {
@@ -329,12 +297,14 @@ func (m *jobManager) submit(model string, spec *scenario.Spec) (*job, error) {
 	m.seq++
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	j := &job{
-		id:      "job-" + strconv.FormatUint(m.seq, 10),
+		id:      "job-" + m.tag + "-" + strconv.FormatUint(m.seq, 10),
+		seq:     m.seq,
 		model:   model,
 		spec:    spec,
 		created: time.Now(),
 		ctx:     ctx,
 		cancel:  cancel,
+		log:     newEventLog[JobEvent](0, nil),
 		state:   JobStateQueued,
 		total:   total,
 	}
@@ -373,7 +343,7 @@ func (m *jobManager) list() []JobInfo {
 		jobs = append(jobs, j)
 	}
 	m.mu.Unlock()
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].id > jobs[b].id })
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq > jobs[b].seq })
 	out := make([]JobInfo, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.info(false)

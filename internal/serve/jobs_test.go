@@ -1,14 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -509,4 +514,121 @@ func TestSweepRaceWithHotSwap(t *testing.T) {
 	cliWG.Wait()
 	close(stopSwap)
 	swapWG.Wait()
+}
+
+// dropWriter kills the connection — panic with http.ErrAbortHandler —
+// right before the write carrying the (allow+1)th frame that contains
+// marker, so the client sees a dropped connection, not an end of stream.
+type dropWriter struct {
+	http.ResponseWriter
+	marker string
+	allow  int
+}
+
+func (w *dropWriter) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(w.marker)) {
+		if w.allow--; w.allow < 0 {
+			panic(http.ErrAbortHandler)
+		}
+	}
+	return w.ResponseWriter.Write(p)
+}
+
+func (w *dropWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+func (w *dropWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// TestSweepJobStreamResume drops the job stream mid-sweep: JobStream
+// must reconnect with Last-Event-ID and deliver every point exactly
+// once, then the terminal event, and only then return nil.
+func TestSweepJobStreamResume(t *testing.T) {
+	const allowFirst = 5 // points delivered before the first connection dies
+	srv, _ := newModelServer(t, Config{JobConcurrency: 1, SweepWorkers: 1})
+	defer srv.Close()
+	var conns atomic.Int64
+	var resumeID atomic.Value
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/stream") {
+			switch conns.Add(1) {
+			case 1:
+				srv.ServeHTTP(&dropWriter{ResponseWriter: w, marker: "event: point", allow: allowFirst}, r)
+				return
+			case 2:
+				resumeID.Store(r.Header.Get("Last-Event-ID"))
+			}
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+
+	spec := liuSweepSpec()
+	spec.Params = append(spec.Params, scenario.ParamSpec{Name: "f", Values: manyValues(10)})
+	acc, err := c.Sweep(ctx, "liu_gpu_server", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []JobEvent
+	if err := c.JobStream(ctx, acc.Job, 0, func(ev JobEvent) error {
+		events = append(events, ev)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := conns.Load(); n != 2 {
+		t.Fatalf("job stream used %d connections, want 2 (one drop, one resume)", n)
+	}
+	if id, _ := resumeID.Load().(string); id != fmt.Sprint(allowFirst) {
+		t.Fatalf("reconnect sent Last-Event-ID %q, want %q", id, fmt.Sprint(allowFirst))
+	}
+	if len(events) != acc.Total+1 {
+		t.Fatalf("streamed %d events, want %d points + terminal", len(events), acc.Total)
+	}
+	seen := map[int]bool{}
+	for i, ev := range events[:acc.Total] {
+		if ev.Type != "point" || ev.Point == nil || ev.Seq != uint64(i+1) {
+			t.Fatalf("event %d = %+v", i, ev)
+		}
+		if seen[ev.Point.Index] {
+			t.Fatalf("point %d delivered twice", ev.Point.Index)
+		}
+		seen[ev.Point.Index] = true
+	}
+	if last := events[acc.Total]; last.Type != "done" || last.Done != acc.Total {
+		t.Fatalf("terminal event = %+v", last)
+	}
+}
+
+// TestJobListNewestFirst pins the listing order on the creation
+// sequence: the tenth job must list before the ninth, which a string
+// sort of the IDs gets wrong.
+func TestJobListNewestFirst(t *testing.T) {
+	srv, _ := newModelServer(t, Config{JobConcurrency: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+
+	var ids []string
+	for i := 0; i < 11; i++ {
+		acc, err := c.Sweep(ctx, "liu_gpu_server", liuSweepSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, acc.Job)
+	}
+	jobs, err := c.Jobs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs.Jobs) != len(ids) {
+		t.Fatalf("listed %d jobs, want %d", len(jobs.Jobs), len(ids))
+	}
+	for i, j := range jobs.Jobs {
+		if want := ids[len(ids)-1-i]; j.ID != want {
+			t.Fatalf("listing position %d is %s, want %s (newest first)", i, j.ID, want)
+		}
+	}
 }

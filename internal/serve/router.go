@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -15,8 +14,8 @@ import (
 // RouterClient is the client-side routing tier over a cluster of xpdld
 // members: every call hashes the model ident to its replica set on a
 // rendezvous ring (shard.Ring), spreads reads across healthy replicas,
-// and fails over — transparently, inside one call — on connect errors
-// and on 503s honoring Retry-After. Callers use it exactly like a
+// and fails over — transparently, inside one call — under the failover
+// rules of package shard (Ring.Route). Callers use it exactly like a
 // Client pointed at a single daemon; the cluster is invisible until
 // every member of it is unreachable.
 type RouterClient struct {
@@ -83,47 +82,28 @@ func (rc *RouterClient) Stop() { rc.ring.Stop() }
 // Ring exposes the routing ring for stats and member introspection.
 func (rc *RouterClient) Ring() *shard.Ring { return rc.ring }
 
-// route runs op against ident's failover order: healthy replicas
-// first, then other healthy members. Transport errors mark the member
-// down and move on; 503s start the member's Retry-After cooldown and
-// move on; any other daemon answer (2xx, 4xx, 5xx) is authoritative —
-// a 404 on one replica is a 404 on all of them.
+// route runs op against ident's failover order (see Ring.Route).
 func (rc *RouterClient) route(ctx context.Context, ident string, op func(*Client) error) error {
-	var lastErr error
-	for _, base := range rc.ring.Order(ident) {
-		c := rc.clients[base]
-		err := op(c)
-		if err == nil {
-			rc.ring.ReportSuccess(base)
-			return nil
-		}
-		if ctx.Err() != nil {
-			return err
-		}
-		var se *apiStatusError
-		if errors.As(err, &se) {
-			if se.Status == http.StatusServiceUnavailable {
-				rc.ring.ReportBusy(base, se.RetryAfter)
-				lastErr = err
-				continue
-			}
-			return err
-		}
-		var cte *ContentTypeError
-		if errors.As(err, &cte) {
-			// Protocol violation, not a dead member; do not mask it by
-			// retrying elsewhere.
-			return err
-		}
-		// Connect error, reset, timeout: the member is gone until the
-		// prober (or a later success) says otherwise.
-		rc.ring.ReportFailure(base)
-		lastErr = err
+	return rc.ring.Route(ctx, ident, func(base string) (shard.Answer, error) {
+		err := op(rc.clients[base])
+		return answerOf(err), err
+	})
+}
+
+// answerOf classifies one member call for the ring's failover loop.
+func answerOf(err error) shard.Answer {
+	var se *apiStatusError
+	var cte *ContentTypeError
+	switch {
+	case err == nil:
+		return shard.Answer{Status: http.StatusOK}
+	case errors.As(err, &se):
+		return shard.Answer{Status: se.Status, RetryAfter: se.RetryAfter}
+	case errors.As(err, &cte):
+		// Only 2xx answers get their Content-Type checked.
+		return shard.Answer{Status: http.StatusOK}
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("xpdld: no cluster member answered for %q", ident)
-	}
-	return fmt.Errorf("all members failed for %q: %w", ident, lastErr)
+	return shard.Answer{} // connect error, reset, timeout
 }
 
 // routeVal adapts route to calls returning a value.
@@ -221,33 +201,23 @@ func (rc *RouterClient) Sweep(ctx context.Context, ident string, spec scenario.S
 // sequence numbers are per-member, so a cursor cannot carry across.
 // The restart replays the new member's buffered history; callers must
 // treat (member switch ⇒ possible duplicate generations) as at-least-
-// once delivery.
+// once delivery. An error from fn ends Watch as-is.
 func (rc *RouterClient) Watch(ctx context.Context, ident string, since uint64, fn func(WatchEvent) error) error {
-	var lastErr error
-	// One pass over the current failover order; a member that dies
-	// mid-stream has already burned its own reconnect budget.
-	for i, base := range rc.ring.Order(ident) {
-		c := rc.clients[base]
-		if i > 0 {
+	first := true
+	return rc.ring.Route(ctx, ident, func(base string) (shard.Answer, error) {
+		if !first {
 			since = 0 // cursors are per-member
 		}
+		first = false
 		cbFailed := false
-		err := c.Watch(ctx, ident, since, func(ev WatchEvent) error {
-			if ferr := fn(ev); ferr != nil {
-				cbFailed = true
-				return ferr
-			}
-			return nil
+		err := rc.clients[base].Watch(ctx, ident, since, func(ev WatchEvent) error {
+			ferr := fn(ev)
+			cbFailed = ferr != nil
+			return ferr
 		})
-		if err == nil || cbFailed || ctx.Err() != nil {
-			return err
+		if cbFailed {
+			return shard.Answer{Status: http.StatusOK}, err // the member answered; fn stopped
 		}
-		var se *apiStatusError
-		if errors.As(err, &se) && se.Status != http.StatusServiceUnavailable {
-			return err
-		}
-		rc.ring.ReportFailure(base)
-		lastErr = err
-	}
-	return fmt.Errorf("all members failed watching %q: %w", ident, lastErr)
+		return answerOf(err), err
+	})
 }

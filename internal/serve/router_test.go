@@ -106,6 +106,32 @@ func TestRouterAuthoritativeErrorsDoNotFailover(t *testing.T) {
 	if got := rc.Ring().Stats().Failovers - before; got != 0 {
 		t.Fatalf("a 404 caused %d failovers; it is authoritative", got)
 	}
+
+	// A watch answered with the wrong Content-Type is a protocol
+	// violation, not a dead member: Watch must neither mark the member
+	// down nor retry it elsewhere.
+	var hits atomic.Int64
+	wrongType := func() string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprint(w, "{}")
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	wrc, err := NewRouterClient(RouterConfig{Members: []string{wrongType(), wrongType()}, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = wrc.Watch(context.Background(), "m", 0, func(WatchEvent) error { return nil })
+	var cte *ContentTypeError
+	if !errors.As(err, &cte) {
+		t.Fatalf("watch of a wrong-type stream: %v, want a ContentTypeError", err)
+	}
+	if st := wrc.Ring().Stats(); st.Failovers != 0 || st.MembersUp != 2 || hits.Load() != 1 {
+		t.Fatalf("a ContentTypeError failed over: %+v after %d requests", st, hits.Load())
+	}
 }
 
 func TestRouterBusyMemberCoolsDown(t *testing.T) {

@@ -1136,9 +1136,6 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) (any, err
 	return RefreshResponse{Ident: ident, Swapped: res.Swapped, Generation: snap.Gen, Delta: res.Delta}, nil
 }
 
-// handleWatch streams generation-change events for one model:
-// Server-Sent Events when the client accepts text/event-stream, a
-// bounded long poll (?since=&wait=) otherwise.
 // ---- sweep jobs ----
 
 // jobsOr501 gates the sweep endpoints on the subsystem being wired.
@@ -1208,8 +1205,8 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) (any, e
 }
 
 // handleJobStream follows one job's progress over SSE: history after
-// ?since= (or Last-Event-ID) replays first, live per-point events
-// follow, and the stream ends right after the terminal event.
+// the resume cursor replays first, live per-point events follow, and
+// the stream ends right after the terminal event.
 func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	m, err := s.jobsOr501()
 	if err != nil {
@@ -1221,75 +1218,19 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, notFound("job %q not found", r.PathValue("id")))
 		return
 	}
-	since := uint64(0)
-	raw := r.URL.Query().Get("since")
-	if raw == "" {
-		raw = r.Header.Get("Last-Event-ID")
-	}
-	if raw != "" {
-		v, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			s.writeError(w, badRequest("since must be a non-negative integer"))
-			return
-		}
-		since = v
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		s.writeError(w, &apiError{status: http.StatusNotImplemented, msg: "streaming unsupported"})
+	since, err := sinceOf(r)
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
-	replay, ch, cancelSub := j.subscribe(since)
+	ch, cancelSub := j.log.subscribe(since, jobStreamBuffer)
 	defer cancelSub()
-	rc := http.NewResponseController(w)
-	extend := func() { _ = rc.SetWriteDeadline(time.Now().Add(4 * s.watchHB)) }
-	extend()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	s.countStatus(http.StatusOK)
-	fmt.Fprintf(w, ": streaming %s\n\n", j.id)
-	fl.Flush()
-	writeEvent := func(ev JobEvent) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		extend()
-		fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", ev.Type, ev.Seq, data)
-		fl.Flush()
-		return ev.Type == "point"
-	}
-	for _, ev := range replay {
-		if !writeEvent(ev) {
-			return
-		}
-	}
-	if ch == nil {
-		return // job already terminal; the replay was the whole story
-	}
-	hb := time.NewTicker(s.watchHB)
-	defer hb.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, open := <-ch:
-			if !open {
-				return // terminal event delivered, or evicted as a slow consumer
-			}
-			if !writeEvent(ev) {
-				return
-			}
-		case <-hb.C:
-			extend()
-			fmt.Fprint(w, ": heartbeat\n\n")
-			fl.Flush()
-		}
-	}
+	writeSSE(s, w, r, "streaming "+j.id, ch)
 }
 
+// handleWatch streams generation-change events for one model:
+// Server-Sent Events when the client accepts text/event-stream, a
+// bounded long poll (?since=&wait=) otherwise.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	ident := r.PathValue("model")
 	if ident == "" {
@@ -1305,44 +1246,56 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, notFound("model %q: %v", ident, err))
 		return
 	}
-	// ?since= wins, the SSE-standard Last-Event-ID header is the
-	// fallback — same contract as the jobs stream, so a spec-compliant
-	// SSE client reconnecting after a drop resumes losslessly.
-	since := uint64(0)
-	raw := r.URL.Query().Get("since")
-	if raw == "" {
-		raw = r.Header.Get("Last-Event-ID")
-	}
-	if raw != "" {
-		v, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			s.writeError(w, badRequest("since must be a non-negative integer"))
-			return
-		}
-		since = v
+	since, err := sinceOf(r)
+	if err != nil {
+		s.writeError(w, err)
+		return
 	}
 	w.Header().Set("X-Xpdl-Generation", strconv.FormatUint(snap.Gen, 10))
 	w.Header().Set("X-Xpdl-Fingerprint", snap.Fingerprint)
-	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		s.watchSSE(w, r, ident, since)
-		return
-	}
-	s.watchPoll(w, r, ident, since)
-}
-
-// watchSSE is the streaming transport: one "change" event per publish,
-// heartbeat comments in between, eviction (queue overflow or graceful
-// drain) ends the stream.
-func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, ident string, since uint64) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		s.writeError(w, &apiError{status: http.StatusNotImplemented, msg: "streaming unsupported"})
+	if !strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
+		s.watchPoll(w, r, ident, since)
 		return
 	}
 	ch, cancelSub := s.store.Watch(ident, since)
 	defer cancelSub()
 	gWatchSSE.Add(1)
 	defer gWatchSSE.Add(-1)
+	writeSSE(s, w, r, "watching "+ident, ch)
+}
+
+// sinceOf reads a stream's resume cursor. ?since= wins; the
+// SSE-standard Last-Event-ID header is the fallback, so a
+// spec-compliant SSE client reconnecting after a drop resumes
+// losslessly.
+func sinceOf(r *http.Request) (uint64, error) {
+	raw := r.URL.Query().Get("since")
+	if raw == "" {
+		raw = r.Header.Get("Last-Event-ID")
+	}
+	if raw == "" {
+		return 0, nil
+	}
+	v, err := strconv.ParseUint(raw, 10, 64)
+	if err != nil {
+		return 0, badRequest("since must be a non-negative integer")
+	}
+	return v, nil
+}
+
+// writeSSE streams a subscription as Server-Sent Events: one frame per
+// event (its type, "id: <seq>" and JSON data), heartbeat comments in
+// between, and an "event: eof" frame when the channel closes — the
+// server ended the stream (a job's terminal event, slow-consumer
+// eviction, graceful drain). A bare TCP close is indistinguishable from
+// a crashed connection; the eof lets reconnecting clients tell "server
+// ended the stream" from "stream dropped".
+func writeSSE[E logEvent[E]](s *Server, w http.ResponseWriter, r *http.Request, banner string, ch <-chan E) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		s.writeError(w, &apiError{status: http.StatusNotImplemented, msg: "streaming unsupported"})
+		return
+	}
 	// The stream outlives the server's WriteTimeout by design; roll the
 	// write deadline forward while the peer keeps accepting writes.
 	rc := http.NewResponseController(w)
@@ -1353,7 +1306,7 @@ func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, ident string, 
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	s.countStatus(http.StatusOK)
-	fmt.Fprintf(w, ": watching %s\n\n", ident)
+	fmt.Fprintf(w, ": %s\n\n", banner)
 	fl.Flush()
 	hb := time.NewTicker(s.watchHB)
 	defer hb.Stop()
@@ -1362,12 +1315,8 @@ func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, ident string, 
 		case <-r.Context().Done():
 			return
 		case ev, open := <-ch:
+			extend()
 			if !open {
-				// Evicted as a slow consumer, or server draining. Say so
-				// explicitly: a bare TCP close is indistinguishable from a
-				// crashed connection, and reconnecting clients need to tell
-				// "server ended the stream" from "stream dropped".
-				extend()
 				fmt.Fprint(w, "event: eof\ndata: {}\n\n")
 				fl.Flush()
 				return
@@ -1376,8 +1325,8 @@ func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, ident string, 
 			if err != nil {
 				return
 			}
-			extend()
-			fmt.Fprintf(w, "event: change\nid: %d\ndata: %s\n\n", ev.Seq, data)
+			typ, id := ev.sseFrame()
+			fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", typ, id, data)
 			fl.Flush()
 		case <-hb.C:
 			extend()

@@ -26,117 +26,57 @@ const watchHistory = 64
 // was not configured otherwise.
 const defaultWatchBuffer = 16
 
-// watchHub fans generation-change events out to subscribers. Publishes
-// never block on consumers: a subscriber whose queue is full is evicted
-// (its channel closed) so slow readers cannot stall snapshot swaps.
+// watchHub keeps one event log per model. buffer is the queue depth of
+// every new subscriber.
 type watchHub struct {
-	buffer int
-
 	mu     sync.Mutex
-	models map[string]*watchModel
+	buffer int
 	closed bool
-}
-
-type watchModel struct {
-	seq  uint64
-	subs map[*watchSub]struct{}
-	hist []WatchEvent // last watchHistory events, oldest first
-}
-
-type watchSub struct {
-	ch chan WatchEvent
+	models map[string]*eventLog[WatchEvent]
 }
 
 func newWatchHub(buffer int) *watchHub {
 	if buffer <= 0 {
 		buffer = defaultWatchBuffer
 	}
-	return &watchHub{buffer: buffer, models: map[string]*watchModel{}}
+	return &watchHub{buffer: buffer, models: map[string]*eventLog[WatchEvent]{}}
 }
 
-func (h *watchHub) model(ident string) *watchModel {
-	wm := h.models[ident]
-	if wm == nil {
-		wm = &watchModel{subs: map[*watchSub]struct{}{}}
-		h.models[ident] = wm
+// log returns ident's event log, creating it on first use, and the
+// current subscriber queue depth.
+func (h *watchHub) log(ident string) (*eventLog[WatchEvent], int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	l := h.models[ident]
+	if l == nil {
+		l = newEventLog[WatchEvent](watchHistory, mWatchEvicted)
+		if h.closed {
+			l.close()
+		}
+		h.models[ident] = l
 	}
-	return wm
+	return l, h.buffer
 }
 
 // publish assigns the event its per-model sequence number and delivers
-// it to every subscriber of the model, evicting any whose queue is
-// full. Safe to call after close (events still advance the sequence and
-// history, there is just no one left to deliver to).
+// it to the model's subscribers.
 func (h *watchHub) publish(ev WatchEvent) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	wm := h.model(ev.Model)
-	wm.seq++
-	ev.Seq = wm.seq
-	wm.hist = append(wm.hist, ev)
-	if len(wm.hist) > watchHistory {
-		wm.hist = wm.hist[len(wm.hist)-watchHistory:]
-	}
+	l, _ := h.log(ev.Model)
 	mWatchEvents.Inc()
-	for s := range wm.subs {
-		select {
-		case s.ch <- ev:
-		default:
-			delete(wm.subs, s)
-			close(s.ch)
-			mWatchEvicted.Inc()
-		}
-	}
-	return ev.Seq
+	return l.publish(ev)
 }
 
-// subscribe registers a consumer for ident's events: buffered history
-// with Seq > since is replayed first, then live events follow. The
-// returned channel is closed on eviction or CloseWatchers; cancel
-// unregisters (idempotent, safe after eviction).
+// subscribe follows ident's events after since (see eventLog.subscribe).
 func (h *watchHub) subscribe(ident string, since uint64) (<-chan WatchEvent, func()) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	wm := h.model(ident)
-	var replay []WatchEvent
-	for _, ev := range wm.hist {
-		if ev.Seq > since {
-			replay = append(replay, ev)
-		}
-	}
-	s := &watchSub{ch: make(chan WatchEvent, h.buffer+len(replay))}
-	for _, ev := range replay {
-		s.ch <- ev
-	}
-	if h.closed {
-		close(s.ch)
-		return s.ch, func() {}
-	}
-	wm.subs[s] = struct{}{}
-	cancel := func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if _, ok := wm.subs[s]; ok {
-			delete(wm.subs, s)
-			close(s.ch)
-		}
-	}
-	return s.ch, cancel
+	l, buffer := h.log(ident)
+	return l.subscribe(since, buffer)
 }
 
-// events returns the buffered history of ident after since — the
-// long-poll fast path when something already happened.
+// events returns ident's buffered history after since and its latest
+// sequence number.
 func (h *watchHub) events(ident string, since uint64) ([]WatchEvent, uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	wm := h.model(ident)
-	var out []WatchEvent
-	for _, ev := range wm.hist {
-		if ev.Seq > since {
-			out = append(out, ev)
-		}
-	}
-	return out, wm.seq
+	l, _ := h.log(ident)
+	return l.events(since)
 }
 
 // close evicts every subscriber and refuses new ones — called during
@@ -145,14 +85,15 @@ func (h *watchHub) events(ident string, since uint64) ([]WatchEvent, uint64) {
 func (h *watchHub) close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
 	h.closed = true
-	for _, wm := range h.models {
-		for s := range wm.subs {
-			delete(wm.subs, s)
-			close(s.ch)
-		}
+	for _, l := range h.models {
+		l.close()
 	}
 }
+
+func (ev WatchEvent) withSeq(seq uint64) WatchEvent {
+	ev.Seq = seq
+	return ev
+}
+
+func (ev WatchEvent) sseFrame() (string, uint64) { return "change", ev.Seq }

@@ -11,10 +11,29 @@
 // sets. That is what lets both routing tiers — serve.RouterClient
 // (client-side routing) and cmd/xpdlrouter (a thin reverse proxy for
 // dumb clients) — share this package without coordination.
+//
+// # Failover rules
+//
+// Both routing tiers send every request through Ring.Route, which
+// walks the request's failover order (Ring.Order) and treats each
+// member's outcome the same way everywhere:
+//
+//   - no answer (connect error, reset, timeout): the member is marked
+//     down (ReportFailure) and the next member is tried;
+//   - 503: the member cools down for its Retry-After (ReportBusy) and
+//     the next member is tried;
+//   - an answer the caller marks as "not here" (a 404 for a job, which
+//     lives on exactly one member): the next member is tried and the
+//     member's health is left alone;
+//   - any other answer — 2xx, 4xx, 5xx, or a body of the wrong
+//     Content-Type — is final: a 404 on one replica is a 404 on all of
+//     them, and a protocol violation is not masked by retrying;
+//   - a canceled context stops the walk.
 package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -78,7 +97,7 @@ type member struct {
 	// fails counts consecutive probe failures (reset on success).
 	fails atomic.Int32
 	// coolUntil holds a unix-nano deadline before which the member is
-	// skipped by Pick/Order front positions — the Retry-After contract:
+	// skipped by Order front positions — the Retry-After contract:
 	// a 503 with Retry-After means "not dead, but do not come back
 	// before this".
 	coolUntil atomic.Int64
@@ -263,16 +282,49 @@ func (r *Ring) Order(ident string) []string {
 	return out
 }
 
-// Pick returns one healthy replica of ident (reads spread across the
-// set), falling back to any healthy member, and finally to the
-// top-scored replica even if down. ok is false only when the ring has
-// no members at all.
-func (r *Ring) Pick(ident string) (string, bool) {
-	order := r.Order(ident)
-	if len(order) == 0 {
-		return "", false
+// Answer is what one attempt learned from a member.
+type Answer struct {
+	// Status is the HTTP status the member answered with; 0 means it
+	// did not answer at all.
+	Status int
+	// RetryAfter is the member's Retry-After hint on a 503.
+	RetryAfter time.Duration
+	// NotHere marks an answer saying the resource lives on another
+	// member; the walk moves on without touching this one's health.
+	NotHere bool
+}
+
+// Route runs try against ident's failover order under the package's
+// failover rules, stopping at the first final answer and returning the
+// error try returned with it. When no member gives a final answer it
+// returns the last attempt's error, wrapped; when the context is
+// canceled mid-walk, the current attempt's error (or ctx.Err()).
+func (r *Ring) Route(ctx context.Context, ident string, try func(member string) (Answer, error)) error {
+	var last error
+	for _, m := range r.Order(ident) {
+		a, err := try(m)
+		if a.Status != 0 && a.Status != http.StatusServiceUnavailable && !a.NotHere {
+			r.ReportSuccess(m)
+			return err
+		}
+		if ctx.Err() != nil {
+			if err == nil {
+				err = ctx.Err()
+			}
+			return err
+		}
+		switch {
+		case a.Status == 0:
+			r.ReportFailure(m)
+		case a.Status == http.StatusServiceUnavailable:
+			r.ReportBusy(m, a.RetryAfter)
+		}
+		last = err
 	}
-	return order[0], true
+	if last == nil {
+		last = errors.New("no member holds it")
+	}
+	return fmt.Errorf("all members failed for %q: %w", ident, last)
 }
 
 // ReportFailure records a request-path failure (connect error, reset,
@@ -290,7 +342,7 @@ func (r *Ring) ReportFailure(url string) {
 }
 
 // ReportBusy records a 503 from a member, honoring its Retry-After:
-// the member is not dead, but Pick/Order will not lead with it until
+// the member is not dead, but Order will not lead with it until
 // the cooldown elapses. Counted as a failover (the caller is about to
 // try someone else). A non-positive retryAfter applies a minimal
 // cooldown so an immediate retry storm cannot form.

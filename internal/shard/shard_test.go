@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -290,7 +291,86 @@ func TestConcurrentRouting(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if _, ok := r.Pick("anything"); !ok {
-		t.Fatal("Pick found no member")
+	if len(r.Order("anything")) == 0 {
+		t.Fatal("Order found no member")
+	}
+}
+
+// TestRouteFailoverRules pins the one failover loop both routing tiers
+// share: no answer marks down, 503 cools down, "not here" moves on
+// untouched, any other answer is final, and cancellation stops the walk.
+func TestRouteFailoverRules(t *testing.T) {
+	members := []string{"http://a:1", "http://b:1", "http://c:1"}
+	errNoAnswer := errors.New("connection refused")
+	for _, tc := range []struct {
+		name      string
+		answers   []Answer // by attempt; attempts past the end answer 200
+		tries     int
+		failovers int64
+		down      int
+		cooling   int
+		wantErr   bool
+	}{
+		{"first member answers", []Answer{{Status: 200}}, 1, 0, 0, 0, false},
+		{"no answer marks down", []Answer{{}, {Status: 200}}, 2, 1, 1, 0, false},
+		{"503 cools down", []Answer{{Status: 503, RetryAfter: time.Minute}, {Status: 200}}, 2, 1, 0, 1, false},
+		{"not here moves on", []Answer{{Status: 404, NotHere: true}, {Status: 200}}, 2, 0, 0, 0, false},
+		{"404 is final", []Answer{{Status: 404}}, 1, 0, 0, 0, true},
+		{"500 is final", []Answer{{Status: 500}}, 1, 0, 0, 0, true},
+		{"every member refuses", []Answer{{}, {}, {}}, 3, 3, 3, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newTestRing(t, Config{Members: members, Replicas: 3})
+			tries := 0
+			err := r.Route(context.Background(), "m", func(string) (Answer, error) {
+				a := Answer{Status: 200}
+				if tries < len(tc.answers) {
+					a = tc.answers[tries]
+				}
+				tries++
+				switch {
+				case a.Status == 0:
+					return a, errNoAnswer
+				case a.Status != 200:
+					return a, errors.New(http.StatusText(a.Status))
+				}
+				return a, nil
+			})
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("Route error = %v, want error %v", err, tc.wantErr)
+			}
+			if tries != tc.tries {
+				t.Fatalf("%d attempts, want %d", tries, tc.tries)
+			}
+			down, cooling := 0, 0
+			for _, m := range r.Members() {
+				if !m.Up {
+					down++
+				}
+				if m.Cooling {
+					cooling++
+				}
+			}
+			if st := r.Stats(); st.Failovers != tc.failovers || down != tc.down || cooling != tc.cooling {
+				t.Fatalf("failovers %d, down %d, cooling %d; want %d, %d, %d",
+					st.Failovers, down, cooling, tc.failovers, tc.down, tc.cooling)
+			}
+		})
+	}
+
+	// A canceled context stops the walk without blaming the member.
+	r := newTestRing(t, Config{Members: members, Replicas: 3})
+	ctx, cancel := context.WithCancel(context.Background())
+	tries := 0
+	err := r.Route(ctx, "m", func(string) (Answer, error) {
+		tries++
+		cancel()
+		return Answer{}, ctx.Err()
+	})
+	if !errors.Is(err, context.Canceled) || tries != 1 {
+		t.Fatalf("canceled walk: err %v after %d attempts", err, tries)
+	}
+	if st := r.Stats(); st.Failovers != 0 || st.MembersUp != 3 {
+		t.Fatalf("cancellation was blamed on a member: %+v", st)
 	}
 }
