@@ -51,13 +51,14 @@
 // pretty-printed JSON. A client that sends
 // `Accept: application/x-xpdl-bin` gets the same answer as a
 // length-prefixed binary frame with interned strings (the runtime
-// model format's envelope) — cheaper to produce and parse, served
-// from pre-serialized per-snapshot buffers on the hot endpoints
-// (summary, tree, json, element). Negotiation is opt-in only: absent,
-// */* or application/json Accept headers get byte-identical JSON, so
-// existing clients never see a change. serve.Client speaks either
-// protocol (Client.Proto), and `xpdlquery -remote` rides the binary
-// one by default.
+// model format's envelope) — cheaper to produce and parse. The
+// summary, tree, json and element answers are rendered once per
+// snapshot generation and then served from those bytes: summary and
+// tree at publish, json and each element on first access.
+// Negotiation is opt-in only: absent, */* or application/json Accept
+// headers get byte-identical JSON, so existing clients never see a
+// change. serve.Client speaks either protocol (Client.Proto), and
+// `xpdlquery -remote` rides the binary one by default.
 //
 // Every request is traced: an incoming W3C traceparent header joins
 // the caller's trace, otherwise -trace-sample decides whether the

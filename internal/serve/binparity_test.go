@@ -244,8 +244,9 @@ func TestBinaryNotNegotiatedUnchanged(t *testing.T) {
 	}
 }
 
-// TestPreSerializedCounters checks that the hot trio is actually
-// served from pre-serialized bytes after a store publish.
+// TestPreSerializedCounters checks that summary and tree (rendered at
+// publish) and json and element (rendered on first access) are all
+// served from per-snapshot pre-serialized bytes.
 func TestPreSerializedCounters(t *testing.T) {
 	srv, _ := newModelServer(t, Config{})
 	before := mPreserHits.Value()

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -195,5 +197,109 @@ func TestBinaryHotSwapStress(t *testing.T) {
 	close(errCh2)
 	for err := range errCh2 {
 		t.Error(err)
+	}
+}
+
+// TestExportFirstAccessRace fires 16 concurrent first GET /json
+// requests, alternating JSON and binary, at one fresh generation: the
+// lazy export render must hand every one of them the same body, equal
+// to a direct render of the model. After a hot swap the next /json
+// must come from the new generation, not from the cached bytes of the
+// old one. Run with -race.
+func TestExportFirstAccessRace(t *testing.T) {
+	const (
+		clients = 16
+		ident   = "export"
+		target  = "/v1/models/" + ident + "/json"
+	)
+	l := newStubLoader()
+	st := NewStore(l, 0)
+	srv := NewServer(Config{Store: st, MaxInFlight: clients + 8})
+	ctx := context.Background()
+	if _, err := st.Get(ctx, ident); err != nil {
+		t.Fatal(err)
+	}
+
+	// get fetches /json in one protocol and returns the export bytes
+	// and the answering generation.
+	get := func(bin bool) ([]byte, string, error) {
+		rec := doProto(t, srv, http.MethodGet, target, nil, bin)
+		if rec.Code != http.StatusOK {
+			return nil, "", fmt.Errorf("bin=%v: status %d: %s", bin, rec.Code, rec.Body.String())
+		}
+		gen := rec.Header().Get("X-Xpdl-Generation")
+		if !bin {
+			return rec.Body.Bytes(), gen, nil
+		}
+		ft, payload, _, err := rtmodel.DecodeEnvelope(rec.Body.Bytes())
+		if err != nil {
+			return nil, "", err
+		}
+		if ft != frameRawJSON {
+			return nil, "", fmt.Errorf("frame type %d, want %d", ft, frameRawJSON)
+		}
+		return payload, gen, nil
+	}
+	// render is the oracle: the snapshot's model exported directly.
+	render := func(snap *Snapshot) []byte {
+		var b bytes.Buffer
+		if err := snap.Session.Model().WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+
+	first, _ := st.Peek(ident)
+	want := render(first)
+	bodies := make([][]byte, clients)
+	gens := make([]string, clients)
+	errs := make([]error, clients)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			bodies[i], gens[i], errs[i] = get(i%2 == 1)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	firstGen := strconv.FormatUint(first.Gen, 10)
+	for i := range bodies {
+		if errs[i] != nil {
+			t.Fatalf("client %d: %v", i, errs[i])
+		}
+		if gens[i] != firstGen {
+			t.Fatalf("client %d: answered by generation %s, want %s", i, gens[i], firstGen)
+		}
+		if !bytes.Equal(bodies[i], want) {
+			t.Fatalf("client %d (bin=%v): export differs from a direct render\ngot:  %s\nwant: %s",
+				i, i%2 == 1, bodies[i], want)
+		}
+	}
+
+	l.bumpVersion(ident)
+	swapped, err := st.Refresh(ctx, ident)
+	if err != nil || !swapped {
+		t.Fatalf("hot swap: swapped=%v err=%v", swapped, err)
+	}
+	next, _ := st.Peek(ident)
+	wantNext := render(next)
+	if bytes.Equal(wantNext, want) {
+		t.Fatal("stub generations render the same export; the swap check would be vacuous")
+	}
+	for _, bin := range []bool{false, true} {
+		body, gen, err := get(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gen != strconv.FormatUint(next.Gen, 10) {
+			t.Fatalf("after swap (bin=%v): answered by generation %s, want %d", bin, gen, next.Gen)
+		}
+		if !bytes.Equal(body, wantNext) {
+			t.Fatalf("after swap (bin=%v): export is not the new generation's\ngot:  %s\nwant: %s", bin, body, wantNext)
+		}
 	}
 }

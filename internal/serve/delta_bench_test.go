@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"xpdl/internal/core"
+	"xpdl/internal/query"
 )
 
 // Refresh benchmarks for EXPERIMENTS.md E19: the cost of propagating a
@@ -76,5 +77,20 @@ func BenchmarkDeltaRefresh(b *testing.B) {
 			b.Fatalf("iteration %d: outcome %v (reason %q), want DeltaPatched", i, res.Outcome, res.Reason)
 		}
 		snap = res.Snap
+	}
+}
+
+// BenchmarkPrepare measures the publish tax of one full XScluster
+// snapshot: selector index build plus the answers rendered before the
+// pointer swap (EXPERIMENTS.md E23). Each iteration prepares a fresh
+// session over the same runtime model, as a cold load would.
+func BenchmarkPrepare(b *testing.B) {
+	_, snap, _, _ := benchRefreshSetup(b)
+	m := snap.Session.Model()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := &Snapshot{Ident: snap.Ident, Session: query.NewSession(m)}
+		prepare(s)
 	}
 }

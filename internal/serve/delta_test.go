@@ -433,6 +433,80 @@ func TestDeltaPatchedRefreshDetail(t *testing.T) {
 	}
 }
 
+// TestDeltaPatchedExportParity pins the lazily rendered answers across
+// a delta patch: /json and /tree of the patched XScluster generation
+// are byte-identical, in both protocols, to a fresh full-resolve store
+// over the same corpus state. The pre-edit /json is rendered first, so
+// a patched /json equal to it would mean the export was carried across
+// the patch.
+func TestDeltaPatchedExportParity(t *testing.T) {
+	const m = "XScluster"
+	base := "/v1/models/" + m
+	dir := copyModels(t)
+	// boot starts a store and server over dir. The repository parses the
+	// corpus when the loader is built, so a store booted after the edit
+	// resolves the edited state from scratch.
+	boot := func() (*Server, *Store) {
+		loader, err := NewToolchainLoader(core.Options{SearchPaths: []string{dir}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewStore(loader, 0)
+		return NewServer(Config{Store: st}), st
+	}
+	dSrv, dSt := boot()
+	before := map[bool][]byte{}
+	for _, bin := range []bool{false, true} {
+		rec := doProto(t, dSrv, http.MethodGet, base+"/json", nil, bin)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("pre-edit /json (bin=%v): status %d", bin, rec.Code)
+		}
+		before[bin] = rec.Body.Bytes()
+	}
+
+	path := filepath.Join(dir, "cpu", "Intel_Xeon_E5_2630L.xpdl")
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutated := strings.Replace(string(orig), `static_power="15"`, `static_power="17"`, 1)
+	if mutated == string(orig) {
+		t.Fatal("static_power pattern not found in the fixture")
+	}
+	if err := os.WriteFile(path, []byte(mutated), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dSt.InvalidateLoader()
+	res, err := dSt.RefreshDetail(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Swapped || !res.Delta {
+		t.Fatalf("bounded edit: swapped=%v delta=%v (reason %q), want a delta swap", res.Swapped, res.Delta, res.Reason)
+	}
+
+	oSrv, _ := boot()
+	for _, ep := range []string{"/tree", "/json"} {
+		for _, bin := range []bool{false, true} {
+			dr := doProto(t, dSrv, http.MethodGet, base+ep, nil, bin)
+			or := doProto(t, oSrv, http.MethodGet, base+ep, nil, bin)
+			if dr.Code != http.StatusOK || or.Code != http.StatusOK {
+				t.Fatalf("%s (bin=%v): delta status %d, oracle status %d", ep, bin, dr.Code, or.Code)
+			}
+			if got := dr.Header().Get("X-Xpdl-Generation"); got != strconv.FormatUint(res.Gen, 10) {
+				t.Fatalf("%s (bin=%v): answered by generation %s, want %d", ep, bin, got, res.Gen)
+			}
+			if !bytes.Equal(dr.Body.Bytes(), or.Body.Bytes()) {
+				t.Fatalf("%s (bin=%v): patched answer (%d bytes) differs from full resolve (%d bytes)",
+					ep, bin, dr.Body.Len(), or.Body.Len())
+			}
+			if ep == "/json" && bytes.Equal(dr.Body.Bytes(), before[bin]) {
+				t.Fatalf("/json (bin=%v): patched generation replays the pre-edit export", bin)
+			}
+		}
+	}
+}
+
 // fuzzAffected scopes each fuzz iteration to the systems whose
 // descriptor closure contains the mutated file — refreshing the rest
 // would only re-prove "unchanged" at full-resolve cost.

@@ -10,11 +10,12 @@ import (
 )
 
 // Per-snapshot pre-serialized responses: the answers that depend only
-// on the immutable snapshot (summary, tree, full JSON export, element
-// lookups) are rendered to their final wire bytes once — eagerly at
-// publish for the fixed trio, lazily-once per element — and every
-// later request writes those bytes straight to the socket, in either
-// protocol, with no per-request marshaling.
+// on the immutable snapshot are rendered to their final wire bytes at
+// most once per generation, and every later request writes those bytes
+// straight to the socket, in either protocol, with no per-request
+// marshaling. The summary and the text tree are rendered at publish;
+// elements and the JSON export (19.5 MB on XScluster, read only by
+// /json) are rendered on first access.
 
 // Binary-protocol metrics in the process-wide registry.
 var (
@@ -29,97 +30,98 @@ var (
 )
 
 // preEncoded is one response rendered to final bytes in both
-// protocols: body is the classic answer (indented JSON or plain text),
-// bin is a complete binary envelope.
+// protocols: body is the classic answer (indented JSON), bin is a
+// complete binary envelope.
 type preEncoded struct {
 	body []byte
 	bin  []byte
 }
 
-// preResponses is the pre-serialized set of one snapshot. The fixed
-// members are built before the snapshot is published and read-only
-// afterwards; elems fills lazily (ident → *preEncoded) and is safe for
-// concurrent readers because the snapshot is immutable — an element's
-// bytes can never go stale within one generation.
+// preResponses is the pre-serialized set of one snapshot. summary and
+// tree are built before the snapshot is published and read-only
+// afterwards. The tree is one body for both protocols: binary clients
+// get it behind a raw frame header. export and elems fill lazily and
+// are safe for concurrent readers because the snapshot is immutable —
+// their bytes can never go stale within one generation.
 type preResponses struct {
-	summary preEncoded
-	tree    preEncoded
-	export  preEncoded
-	elems   sync.Map
+	summary    preEncoded
+	tree       []byte
+	exportOnce sync.Once
+	export     []byte
+	elems      sync.Map // ident → *preEncoded
 }
 
 // prepare readies a snapshot for publishing: selector indexes plus the
-// pre-serialized hot responses. The store calls it before the pointer
-// swap, so no request — not even the first after a hot swap — pays an
-// index build or a summary/tree/export render.
+// summary and tree answers. The store calls it before the pointer swap,
+// so no request — not even the first after a hot swap — pays an index
+// build or a summary/tree render.
 func prepare(snap *Snapshot) {
-	if snap.Session == nil {
-		return
-	}
 	snap.Session.BuildIndexes()
 	if snap.pre != nil {
 		return
 	}
-	p := &preResponses{}
-	sum := summaryOf(snap)
-	p.summary = preEncoded{body: marshalIndented(sum), bin: encodeBin(&sum)}
-	var tb bytes.Buffer
-	_ = WriteTree(&tb, snap.Session.Root())
-	p.tree = preEncoded{body: tb.Bytes(), bin: rawEnvelope(frameRawTree, tb.Bytes())}
-	var jb bytes.Buffer
-	_ = snap.Session.Model().WriteJSON(&jb)
-	p.export = preEncoded{body: jb.Bytes(), bin: rawEnvelope(frameRawJSON, jb.Bytes())}
-	snap.pre = p
+	snap.pre = &preResponses{summary: preSummary(snap), tree: treeOf(snap)}
 }
 
 // preparePatched readies a delta-patched snapshot, reusing everything
 // from its predecessor that provably cannot have changed: the selector
 // indexes (the patch edits attribute values only, never structure), the
 // rendered tree (attribute-free by construction), and every lazily
-// rendered element answer whose node content is unchanged. Attribute-
-// bearing renders (summary, JSON export, touched elements) are rebuilt.
-// If the structural invariants do not hold it degrades to prepare().
+// rendered element answer whose node content is unchanged. The summary
+// is rebuilt; the JSON export is never carried over, so /json renders
+// the patched attributes on its first request. If the structural
+// invariants do not hold it degrades to prepare().
 func preparePatched(snap, old *Snapshot) {
-	if snap.Session == nil {
-		return
-	}
-	if old == nil || old.Session == nil || !snap.Session.AdoptIndexes(old.Session) {
+	if !snap.Session.AdoptIndexes(old.Session) {
 		prepare(snap)
 		return
 	}
-	if snap.pre != nil {
-		return
-	}
-	p := &preResponses{}
-	sum := summaryOf(snap)
-	p.summary = preEncoded{body: marshalIndented(sum), bin: encodeBin(&sum)}
-	if old.pre != nil && sameTreeShape(snap, old) {
+	p := &preResponses{summary: preSummary(snap)}
+	if sameTreeShape(snap, old) {
 		p.tree = old.pre.tree
 		mPreserReused.Inc()
 	} else {
-		var tb bytes.Buffer
-		_ = WriteTree(&tb, snap.Session.Root())
-		p.tree = preEncoded{body: tb.Bytes(), bin: rawEnvelope(frameRawTree, tb.Bytes())}
+		p.tree = treeOf(snap)
 	}
-	var jb bytes.Buffer
-	_ = snap.Session.Model().WriteJSON(&jb)
-	p.export = preEncoded{body: jb.Bytes(), bin: rawEnvelope(frameRawJSON, jb.Bytes())}
-	if old.pre != nil {
-		nm, om := snap.Session.Model(), old.Session.Model()
-		old.pre.elems.Range(func(k, v any) bool {
-			on, ok := om.Lookup(k.(string))
-			if !ok {
-				return true
-			}
-			nn, ok := nm.Lookup(k.(string))
-			if ok && nodeAnswerEqual(nn, on) {
-				p.elems.Store(k, v)
-				mPreserReused.Inc()
-			}
+	nm, om := snap.Session.Model(), old.Session.Model()
+	old.pre.elems.Range(func(k, v any) bool {
+		on, ok := om.Lookup(k.(string))
+		if !ok {
 			return true
-		})
-	}
+		}
+		nn, ok := nm.Lookup(k.(string))
+		if ok && nodeAnswerEqual(nn, on) {
+			p.elems.Store(k, v)
+			mPreserReused.Inc()
+		}
+		return true
+	})
 	snap.pre = p
+}
+
+// preSummary renders the summary answer in both protocols.
+func preSummary(snap *Snapshot) preEncoded {
+	sum := summaryOf(snap)
+	return preEncoded{body: marshalIndented(sum), bin: encodeBin(&sum)}
+}
+
+// treeOf renders the snapshot's text tree.
+func treeOf(snap *Snapshot) []byte {
+	var b bytes.Buffer
+	_ = WriteTree(&b, snap.Session.Root())
+	return b.Bytes()
+}
+
+// exportJSON returns the snapshot's JSON export, rendering it on the
+// first call of this generation.
+func (s *Snapshot) exportJSON() []byte {
+	p := s.pre
+	p.exportOnce.Do(func() {
+		var b bytes.Buffer
+		_ = s.Session.Model().WriteJSON(&b)
+		p.export = b.Bytes()
+	})
+	return p.export
 }
 
 // sameTreeShape reports whether the rendered tree (kind/ident/type per
@@ -182,15 +184,10 @@ func summaryOf(snap *Snapshot) SummaryResponse {
 }
 
 // preElement returns the pre-serialized lookup answer for one element,
-// rendering and caching it on first use. ok is false when the snapshot
-// was published without pre-serialization or the element does not
-// exist (the caller falls back to the live path, which produces the
-// 404).
+// rendering and caching it on first use. ok is false when the element
+// does not exist.
 func (s *Snapshot) preElement(ident string) (*preEncoded, bool) {
 	p := s.pre
-	if p == nil {
-		return nil, false
-	}
 	if v, ok := p.elems.Load(ident); ok {
 		return v.(*preEncoded), true
 	}
@@ -220,12 +217,7 @@ func encodeBin(m binaryMessage) []byte {
 	e := getEnc()
 	defer putEnc(e)
 	m.encodeTo(e)
-	return rawEnvelope(m.frame(), e.Buf)
-}
-
-// rawEnvelope wraps payload in a complete binary envelope.
-func rawEnvelope(t rtmodel.FrameType, payload []byte) []byte {
-	out := make([]byte, 0, rtmodel.MaxFrameHeader+len(payload))
+	out := make([]byte, 0, rtmodel.MaxFrameHeader+len(e.Buf))
 	out = rtmodel.AppendWireHeader(out)
-	return rtmodel.AppendFrame(out, t, payload)
+	return rtmodel.AppendFrame(out, m.frame(), e.Buf)
 }

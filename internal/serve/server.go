@@ -523,55 +523,60 @@ func (s *Server) writeAPI(w http.ResponseWriter, bin bool, status int, v any) {
 	s.writeJSON(w, status, v)
 }
 
-// writeBinary writes one binary envelope from a pooled encoder. The
-// stack-array header and the pooled payload go out as two Writes, so
-// nothing is copied; ResponseWriter.Write never retains its argument,
-// which is what makes recycling the encoder safe.
+// writeBinary writes one binary envelope from a pooled encoder.
+// ResponseWriter.Write never retains its argument, which is what makes
+// recycling the encoder safe.
 func (s *Server) writeBinary(w http.ResponseWriter, status int, m binaryMessage) {
 	e := getEnc()
 	m.encodeTo(e)
+	s.writeFrame(w, status, m.frame(), e.Buf)
+	putEnc(e)
+}
+
+// writeFrame writes payload as one binary envelope: the stack-array
+// header and the payload go out as two Writes, so nothing is copied.
+func (s *Server) writeFrame(w http.ResponseWriter, status int, t rtmodel.FrameType, payload []byte) {
 	var hdr [rtmodel.MaxFrameHeader]byte
 	n := rtmodel.PutWireHeader(hdr[:])
-	n += rtmodel.PutFrameHeader(hdr[n:], m.frame(), len(e.Buf))
+	n += rtmodel.PutFrameHeader(hdr[n:], t, len(payload))
 	mProtoBin.Inc()
 	s.countStatus(status)
 	w.Header().Set("Content-Type", ContentTypeBinary)
 	w.WriteHeader(status)
 	_, _ = w.Write(hdr[:n])
-	_, _ = w.Write(e.Buf)
-	putEnc(e)
-}
-
-// writeRawBinary writes a byte-stream answer (tree, JSON export) as a
-// raw binary frame.
-func (s *Server) writeRawBinary(w http.ResponseWriter, t rtmodel.FrameType, payload []byte) {
-	var hdr [rtmodel.MaxFrameHeader]byte
-	n := rtmodel.PutWireHeader(hdr[:])
-	n += rtmodel.PutFrameHeader(hdr[n:], t, len(payload))
-	mProtoBin.Inc()
-	s.countStatus(http.StatusOK)
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(hdr[:n])
 	_, _ = w.Write(payload)
 }
 
-// writePre writes a response pre-serialized at snapshot-publish time:
-// one counter bump and one (or two) Writes, no marshaling at all.
-func (s *Server) writePre(w http.ResponseWriter, bin bool, p *preEncoded, classicType string) {
+// writePre writes a summary or element answer pre-serialized for this
+// snapshot: one counter bump and one Write, no marshaling at all.
+func (s *Server) writePre(w http.ResponseWriter, bin bool, p *preEncoded) {
 	mPreserHits.Inc()
-	s.countStatus(http.StatusOK)
 	if bin {
-		mProtoBin.Inc()
-		w.Header().Set("Content-Type", ContentTypeBinary)
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(p.bin)
+		s.writeReady(w, mProtoBin, ContentTypeBinary, p.bin)
 		return
 	}
-	mProtoJSON.Inc()
-	w.Header().Set("Content-Type", classicType)
+	s.writeReady(w, mProtoJSON, "application/json; charset=utf-8", p.body)
+}
+
+// writePreRaw writes a byte-stream answer (tree, JSON export) rendered
+// once per snapshot. Both protocols send the same body; binary clients
+// get it behind a frame header of type t.
+func (s *Server) writePreRaw(w http.ResponseWriter, bin bool, t rtmodel.FrameType, body []byte, classicType string) {
+	mPreserHits.Inc()
+	if bin {
+		s.writeFrame(w, http.StatusOK, t, body)
+		return
+	}
+	s.writeReady(w, mProtoJSON, classicType, body)
+}
+
+// writeReady writes a 200 answer of ready-made bytes.
+func (s *Server) writeReady(w http.ResponseWriter, proto *obs.Counter, contentType string, body []byte) {
+	proto.Inc()
+	s.countStatus(http.StatusOK)
+	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(p.body)
+	_, _ = w.Write(body)
 }
 
 // writeJSON renders v into a pooled buffer and writes it in one call.
@@ -673,22 +678,7 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	bin := acceptsBinary(r)
-	if p := snap.pre; p != nil {
-		s.writePre(w, bin, &p.tree, "text/plain; charset=utf-8")
-		return nil, nil
-	}
-	if bin {
-		buf := getBuf()
-		_ = WriteTree(buf, snap.Session.Root())
-		s.writeRawBinary(w, frameRawTree, buf.Bytes())
-		putBuf(buf)
-		return nil, nil
-	}
-	mProtoJSON.Inc()
-	s.countStatus(http.StatusOK)
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_ = WriteTree(w, snap.Session.Root())
+	s.writePreRaw(w, acceptsBinary(r), frameRawTree, snap.pre.tree, "text/plain; charset=utf-8")
 	return nil, nil
 }
 
@@ -697,22 +687,7 @@ func (s *Server) handleJSON(w http.ResponseWriter, r *http.Request) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	bin := acceptsBinary(r)
-	if p := snap.pre; p != nil {
-		s.writePre(w, bin, &p.export, "application/json; charset=utf-8")
-		return nil, nil
-	}
-	if bin {
-		buf := getBuf()
-		_ = snap.Session.Model().WriteJSON(buf)
-		s.writeRawBinary(w, frameRawJSON, buf.Bytes())
-		putBuf(buf)
-		return nil, nil
-	}
-	mProtoJSON.Inc()
-	s.countStatus(http.StatusOK)
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_ = snap.Session.Model().WriteJSON(w)
+	s.writePreRaw(w, acceptsBinary(r), frameRawJSON, snap.exportJSON(), "application/json; charset=utf-8")
 	return nil, nil
 }
 
@@ -721,11 +696,8 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) (any, err
 	if err != nil {
 		return nil, err
 	}
-	if p := snap.pre; p != nil {
-		s.writePre(w, acceptsBinary(r), &p.summary, "application/json; charset=utf-8")
-		return nil, nil
-	}
-	return summaryOf(snap), nil
+	s.writePre(w, acceptsBinary(r), &snap.pre.summary)
+	return nil, nil
 }
 
 func (s *Server) handleElement(w http.ResponseWriter, r *http.Request) (any, error) {
@@ -737,15 +709,12 @@ func (s *Server) handleElement(w http.ResponseWriter, r *http.Request) (any, err
 	if ident == "" {
 		return nil, badRequest("missing ?ident= query parameter")
 	}
-	if pe, ok := snap.preElement(ident); ok {
-		s.writePre(w, acceptsBinary(r), pe, "application/json; charset=utf-8")
-		return nil, nil
-	}
-	e, ok := snap.Session.Find(ident)
+	pe, ok := snap.preElement(ident)
 	if !ok {
 		return nil, notFound("element %q not found in model %q", ident, snap.Ident)
 	}
-	return elementOf(e), nil
+	s.writePre(w, acceptsBinary(r), pe)
+	return nil, nil
 }
 
 // checkSelector applies the shape limits shared by the GET and POST

@@ -54,10 +54,10 @@ type Snapshot struct {
 	// and transfer-cost queries read it.
 	System *model.Component
 
-	// pre holds the snapshot's pre-serialized hot responses (see
-	// preser.go), built by prepare before the store publishes the
-	// snapshot and read-only afterwards. Nil for snapshots constructed
-	// directly (tests): handlers then fall back to live encoding.
+	// pre holds the snapshot's pre-serialized responses (see
+	// preser.go). Invariant: published ⇒ prepared. Every store publish
+	// runs prepare or preparePatched before the pointer swap, so pre is
+	// never nil on a snapshot a handler can reach.
 	pre *preResponses
 
 	// descs is the descriptor closure captured when the snapshot was
