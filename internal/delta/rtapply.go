@@ -51,7 +51,7 @@ func ApplyRT(m *rtmodel.Model, rootIdent string, plan Plan, rules []analysis.Syn
 						n.Attrs = append([]rtmodel.Attr(nil), n.Attrs...)
 						cowed = true
 					}
-					n.Attrs[j] = rtAttrOf(p.Attr, p.New)
+					n.Attrs[j] = rtmodel.AttrOf(p.Attr, p.New)
 					count++
 				}
 				break
@@ -216,18 +216,4 @@ func renderRTAttr(a rtmodel.Attr) string {
 		return units.Quantity{Value: a.Value, Dim: a.Dim}.String()
 	}
 	return a.Raw
-}
-
-// rtAttrOf converts a descriptor attribute the way rtmodel.Build does.
-func rtAttrOf(name string, a model.Attr) rtmodel.Attr {
-	ra := rtmodel.Attr{Name: name, Raw: a.Raw, Unit: a.Unit}
-	if a.HasQuantity {
-		ra.Value = a.Quantity.Value
-		ra.Dim = a.Quantity.Dim
-		ra.Flags |= rtmodel.FlagHasValue
-	}
-	if a.Unknown {
-		ra.Flags |= rtmodel.FlagUnknown
-	}
-	return ra
 }

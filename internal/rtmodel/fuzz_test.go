@@ -2,6 +2,7 @@ package rtmodel
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -81,6 +82,15 @@ func drainPayload(t *testing.T, payload []byte) {
 func FuzzRTModelRoundTrip(f *testing.F) {
 	var seed bytes.Buffer
 	if err := Build(sample()).Save(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	// A NaN attribute value: the model must still equal itself after a
+	// save/load round trip (values compare by their bits).
+	nan := goldenModel()
+	nan.Nodes[1].Attrs[0].Value = math.NaN()
+	seed.Reset()
+	if err := nan.Save(&seed); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())

@@ -10,12 +10,12 @@
 package rtmodel
 
 import (
-	"bufio"
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"xpdl/internal/model"
@@ -181,17 +181,7 @@ func Build(root *model.Component) *Model {
 		}
 		sort.Strings(names)
 		for _, k := range names {
-			a := c.Attrs[k]
-			ra := Attr{Name: k, Raw: a.Raw, Unit: a.Unit}
-			if a.HasQuantity {
-				ra.Value = a.Quantity.Value
-				ra.Dim = a.Quantity.Dim
-				ra.Flags |= FlagHasValue
-			}
-			if a.Unknown {
-				ra.Flags |= FlagUnknown
-			}
-			n.Attrs = append(n.Attrs, ra)
+			n.Attrs = append(n.Attrs, AttrOf(k, c.Attrs[k]))
 		}
 		for _, p := range c.Properties {
 			rp := Prop{Name: p.Name}
@@ -216,202 +206,130 @@ func Build(root *model.Component) *Model {
 	return m
 }
 
+// AttrOf converts a descriptor attribute to its runtime form.
+func AttrOf(name string, a model.Attr) Attr {
+	ra := Attr{Name: name, Raw: a.Raw, Unit: a.Unit}
+	if a.HasQuantity {
+		ra.Value = a.Quantity.Value
+		ra.Dim = a.Quantity.Dim
+		ra.Flags |= FlagHasValue
+	}
+	if a.Unknown {
+		ra.Flags |= FlagUnknown
+	}
+	return ra
+}
+
 // ---- Serialization ----
 
-type writer struct {
-	w       *bufio.Writer
-	strings map[string]uint64
-	table   []string
-}
-
-func (w *writer) intern(s string) uint64 {
-	if id, ok := w.strings[s]; ok {
-		return id
+// putNode appends one node record to e — the only code that writes
+// one. str writes each string field: Save passes a string-table
+// reference, WriteCanonical the inline string. Everything else is the
+// same in both encodings:
+//
+//	.xrt file  "XPDLRT" | uvarint version (1)
+//	           uvarint nstrings | nstrings × (uvarint len, bytes)
+//	           uvarint nnodes | nnodes × node     (str = uvarint index)
+//	canonical  uvarint 6, "XPDLRT"
+//	           uvarint nnodes | nnodes × node     (str = uvarint len, bytes)
+//	node       str kind, str name, str id, str type
+//	           varint parent                      (-1 for the root)
+//	           uvarint nattrs | nattrs × (str name, str raw, str unit,
+//	                                      uvarint dim, uvarint flags,
+//	                                      8-byte little-endian float64 value)
+//	           uvarint nprops | nprops × (str name,
+//	                                      uvarint nkvs | nkvs × (str key, str value))
+//	           uvarint nchildren | nchildren × uvarint child index
+//
+// Nodes are in preorder, so every parent index is below its child's.
+// Varints are encoding/binary's, written by Enc and read by Dec.
+func putNode(e *Enc, n *Node, str func(*Enc, string)) {
+	str(e, n.Kind)
+	str(e, n.Name)
+	str(e, n.ID)
+	str(e, n.Type)
+	e.Varint(int64(n.Parent))
+	e.Uvarint(uint64(len(n.Attrs)))
+	for i := range n.Attrs {
+		a := &n.Attrs[i]
+		str(e, a.Name)
+		str(e, a.Raw)
+		str(e, a.Unit)
+		e.Uvarint(uint64(a.Dim))
+		e.Uvarint(uint64(a.Flags))
+		e.F64(a.Value)
 	}
-	id := uint64(len(w.table))
-	w.strings[s] = id
-	w.table = append(w.table, s)
-	return id
+	e.Uvarint(uint64(len(n.Props)))
+	for i := range n.Props {
+		p := &n.Props[i]
+		str(e, p.Name)
+		e.Uvarint(uint64(len(p.KVs)))
+		for _, kv := range p.KVs {
+			str(e, kv[0])
+			str(e, kv[1])
+		}
+	}
+	e.Uvarint(uint64(len(n.Children)))
+	for _, c := range n.Children {
+		e.Uvarint(uint64(c))
+	}
 }
 
-func putUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-// Save writes the model in the compact binary format.
+// Save writes the model in the compact .xrt file format. The node
+// records are encoded first, numbering each string at its first use,
+// because the string table they index precedes them in the file.
 func (m *Model) Save(out io.Writer) error {
-	bw := &writer{w: bufio.NewWriter(out), strings: map[string]uint64{}}
-	// Intern every string first so the table can be written up front.
-	type encNode struct {
-		kind, name, id, typ uint64
-		attrs               [][5]uint64 // name, raw, unit, dim, flags
-		vals                []float64   // parallel to attrs (NaN when absent)
-		props               []encProp
-		parent              int64
-		children            []uint64
+	ids := make(map[string]uint64)
+	var table []string
+	ref := func(e *Enc, s string) {
+		id, ok := ids[s]
+		if !ok {
+			id = uint64(len(table))
+			ids[s] = id
+			table = append(table, s)
+		}
+		e.Uvarint(id)
 	}
-	var encProps func(ps []Prop) []encProp
-	nodes := make([]encNode, len(m.Nodes))
-	encProps = func(ps []Prop) []encProp {
-		out := make([]encProp, len(ps))
-		for i, p := range ps {
-			ep := encProp{name: bw.intern(p.Name)}
-			for _, kv := range p.KVs {
-				ep.kvs = append(ep.kvs, [2]uint64{bw.intern(kv[0]), bw.intern(kv[1])})
-			}
-			out[i] = ep
-		}
-		return out
+	var nodes Enc
+	nodes.Uvarint(uint64(len(m.Nodes)))
+	for i := range m.Nodes {
+		putNode(&nodes, &m.Nodes[i], ref)
 	}
-	for i, n := range m.Nodes {
-		en := encNode{
-			kind: bw.intern(n.Kind), name: bw.intern(n.Name),
-			id: bw.intern(n.ID), typ: bw.intern(n.Type),
-			parent: int64(n.Parent),
-		}
-		for _, a := range n.Attrs {
-			en.attrs = append(en.attrs, [5]uint64{
-				bw.intern(a.Name), bw.intern(a.Raw), bw.intern(a.Unit),
-				uint64(a.Dim), uint64(a.Flags),
-			})
-			en.vals = append(en.vals, a.Value)
-		}
-		en.props = encProps(n.Props)
-		for _, c := range n.Children {
-			en.children = append(en.children, uint64(c))
-		}
-		nodes[i] = en
+	head := Enc{Buf: []byte(Magic)}
+	head.Uvarint(Version)
+	head.Uvarint(uint64(len(table)))
+	for _, s := range table {
+		head.rawString(s)
 	}
-
-	// Header.
-	if _, err := bw.w.WriteString(Magic); err != nil {
+	if _, err := out.Write(head.Buf); err != nil {
 		return err
 	}
-	putUvarint(bw.w, Version)
-	// String table.
-	putUvarint(bw.w, uint64(len(bw.table)))
-	for _, s := range bw.table {
-		putUvarint(bw.w, uint64(len(s)))
-		bw.w.WriteString(s)
-	}
-	// Nodes.
-	putUvarint(bw.w, uint64(len(nodes)))
-	for _, en := range nodes {
-		putUvarint(bw.w, en.kind)
-		putUvarint(bw.w, en.name)
-		putUvarint(bw.w, en.id)
-		putUvarint(bw.w, en.typ)
-		// Parent as zig-zag varint (root is -1).
-		var pbuf [binary.MaxVarintLen64]byte
-		pn := binary.PutVarint(pbuf[:], en.parent)
-		bw.w.Write(pbuf[:pn])
-		putUvarint(bw.w, uint64(len(en.attrs)))
-		for i, a := range en.attrs {
-			for _, v := range a {
-				putUvarint(bw.w, v)
-			}
-			var fbuf [8]byte
-			binary.LittleEndian.PutUint64(fbuf[:], math.Float64bits(en.vals[i]))
-			bw.w.Write(fbuf[:])
-		}
-		putUvarint(bw.w, uint64(len(en.props)))
-		for _, p := range en.props {
-			putUvarint(bw.w, p.name)
-			putUvarint(bw.w, uint64(len(p.kvs)))
-			for _, kv := range p.kvs {
-				putUvarint(bw.w, kv[0])
-				putUvarint(bw.w, kv[1])
-			}
-		}
-		putUvarint(bw.w, uint64(len(en.children)))
-		for _, c := range en.children {
-			putUvarint(bw.w, c)
-		}
-	}
-	return bw.w.Flush()
-}
-
-type encProp struct {
-	name uint64
-	kvs  [][2]uint64
-}
-
-// canonWriter batches the canonical content stream into an append
-// buffer, flushing to the underlying writer in large chunks — hashing
-// 44k nodes one tiny Write at a time is what made fingerprinting cost
-// as much as a file save.
-type canonWriter struct {
-	w   io.Writer
-	buf []byte
-	err error
-}
-
-func (c *canonWriter) flush(force bool) {
-	if c.err != nil || (!force && len(c.buf) < 32<<10) {
-		return
-	}
-	if len(c.buf) > 0 {
-		_, c.err = c.w.Write(c.buf)
-		c.buf = c.buf[:0]
-	}
-}
-
-func (c *canonWriter) uvarint(v uint64) {
-	c.buf = binary.AppendUvarint(c.buf, v)
-}
-
-func (c *canonWriter) str(s string) {
-	c.buf = binary.AppendUvarint(c.buf, uint64(len(s)))
-	c.buf = append(c.buf, s...)
-	c.flush(false)
+	_, err := out.Write(nodes.Buf)
+	return err
 }
 
 // WriteCanonical writes a deterministic, injective rendering of the
-// model's full content — every field Save persists, in the same order,
-// but without the string-interning pass, so it streams in one cheap
-// walk. Content hashing (snapshot fingerprints) uses this: two models
-// write equal canonical streams exactly when Equal reports them equal.
+// model's full content: every node record Save writes, in the same
+// order, with the strings inline instead of interned, so it streams in
+// one cheap walk. Content hashing (snapshot fingerprints) uses this:
+// two models write equal canonical streams exactly when Equal reports
+// them equal. Output goes out in chunks of at least 32 KiB — hashing
+// 44k nodes one tiny Write at a time costs as much as a file save.
 func (m *Model) WriteCanonical(out io.Writer) error {
-	c := &canonWriter{w: out, buf: make([]byte, 0, 64<<10)}
-	c.str(Magic)
-	c.uvarint(uint64(len(m.Nodes)))
+	e := Enc{Buf: make([]byte, 0, 64<<10)}
+	e.rawString(Magic)
+	e.Uvarint(uint64(len(m.Nodes)))
 	for i := range m.Nodes {
-		n := &m.Nodes[i]
-		c.str(n.Kind)
-		c.str(n.Name)
-		c.str(n.ID)
-		c.str(n.Type)
-		c.buf = binary.AppendVarint(c.buf, int64(n.Parent))
-		c.uvarint(uint64(len(n.Attrs)))
-		for j := range n.Attrs {
-			a := &n.Attrs[j]
-			c.str(a.Name)
-			c.str(a.Raw)
-			c.str(a.Unit)
-			c.uvarint(uint64(a.Dim))
-			c.uvarint(uint64(a.Flags))
-			c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(a.Value))
-		}
-		c.uvarint(uint64(len(n.Props)))
-		for j := range n.Props {
-			p := &n.Props[j]
-			c.str(p.Name)
-			c.uvarint(uint64(len(p.KVs)))
-			for _, kv := range p.KVs {
-				c.str(kv[0])
-				c.str(kv[1])
+		putNode(&e, &m.Nodes[i], (*Enc).rawString)
+		if len(e.Buf) >= 32<<10 {
+			if _, err := out.Write(e.Buf); err != nil {
+				return err
 			}
+			e.Buf = e.Buf[:0]
 		}
-		c.uvarint(uint64(len(n.Children)))
-		for _, ch := range n.Children {
-			c.uvarint(uint64(ch))
-		}
-		c.flush(false)
 	}
-	c.flush(true)
-	return c.err
+	_, err := out.Write(e.Buf)
+	return err
 }
 
 // SaveFile writes the model to a file path.
@@ -427,189 +345,85 @@ func (m *Model) SaveFile(path string) error {
 	return f.Close()
 }
 
-// Load reads a model previously written by Save.
+// Load reads a model previously written by Save. A wrong magic or
+// version is reported as such; any other malformed input fails with an
+// error wrapping ErrWire.
 func Load(in io.Reader) (*Model, error) {
-	br := bufio.NewReader(in)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("rtmodel: reading magic: %w", err)
-	}
-	if string(magic) != Magic {
-		return nil, fmt.Errorf("rtmodel: bad magic %q", magic)
-	}
-	ver, err := binary.ReadUvarint(br)
-	if err != nil {
+	// io.Copy lets a bytes or strings Reader hand over its contents in
+	// one write; io.ReadAll would grow its buffer in 1.25x steps.
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, in); err != nil {
 		return nil, err
 	}
-	if ver != Version {
+	b := buf.Bytes()
+	if len(b) < len(Magic) || string(b[:len(Magic)]) != Magic {
+		return nil, fmt.Errorf("rtmodel: bad magic %q", b[:min(len(b), len(Magic))])
+	}
+	d := NewDec(b[len(Magic):])
+	if ver := d.Uvarint(); d.Err() == nil && ver != Version {
 		return nil, fmt.Errorf("rtmodel: unsupported version %d (want %d)", ver, Version)
 	}
-	nstr, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	const maxStrings = 1 << 24
-	if nstr > maxStrings {
-		return nil, fmt.Errorf("rtmodel: implausible string table size %d", nstr)
-	}
-	// Capacity is capped independently of the declared count so a forged
-	// header cannot make Load allocate ahead of the bytes it actually
-	// parses; the slice grows only as real entries arrive.
+	// Every count is capped and checked against the bytes left (Count),
+	// and slices start at no more than 4096 entries, growing only as
+	// real entries arrive, so a forged count cannot make Load allocate
+	// ahead of its input.
+	nstr := d.Count(1 << 24)
 	table := make([]string, 0, min(nstr, 4096))
-	for i := uint64(0); i < nstr; i++ {
-		l, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if l > 1<<20 {
-			return nil, fmt.Errorf("rtmodel: implausible string length %d", l)
-		}
-		buf := make([]byte, l)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, err
-		}
-		table = append(table, string(buf))
+	for range nstr {
+		table = append(table, d.rawString())
 	}
-	str := func(id uint64) (string, error) {
+	ref := func() string {
+		id := d.Uvarint()
 		if id >= uint64(len(table)) {
-			return "", fmt.Errorf("rtmodel: string ref %d out of range", id)
+			d.fail("string ref %d out of range", id)
+			return ""
 		}
-		return table[id], nil
+		return table[id]
 	}
-	nnodes, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if nnodes > 1<<26 {
-		return nil, fmt.Errorf("rtmodel: implausible node count %d", nnodes)
-	}
+	nnodes := d.Count(1 << 26)
 	m := &Model{Nodes: make([]Node, 0, min(nnodes, 4096))}
-	for i := uint64(0); i < nnodes; i++ {
-		m.Nodes = append(m.Nodes, Node{})
-		n := &m.Nodes[len(m.Nodes)-1]
-		ids := make([]uint64, 4)
-		for j := range ids {
-			if ids[j], err = binary.ReadUvarint(br); err != nil {
-				return nil, err
-			}
-		}
-		if n.Kind, err = str(ids[0]); err != nil {
-			return nil, err
-		}
-		if n.Name, err = str(ids[1]); err != nil {
-			return nil, err
-		}
-		if n.ID, err = str(ids[2]); err != nil {
-			return nil, err
-		}
-		if n.Type, err = str(ids[3]); err != nil {
-			return nil, err
-		}
-		parent, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, err
-		}
-		// Nodes are written in preorder: every parent precedes its
-		// children, the root (index 0) carrying -1. Consumers (path
-		// tables, ancestor walks) rely on that invariant, so a file
-		// violating it is malformed, not merely unusual.
+	for i := 0; i < nnodes && d.Err() == nil; i++ {
+		// Composite literals below list fields in record order; Go
+		// evaluates their calls left to right.
+		m.Nodes = append(m.Nodes, Node{Kind: ref(), Name: ref(), ID: ref(), Type: ref()})
+		n := &m.Nodes[i]
+		// Every parent precedes its children, the root (index 0)
+		// carrying -1. Consumers (path tables, ancestor walks) rely on
+		// that invariant, so a file violating it is malformed, not
+		// merely unusual.
+		parent := d.Varint()
 		if parent < -1 || parent >= int64(i) {
-			return nil, fmt.Errorf("rtmodel: node %d has out-of-preorder parent %d", i, parent)
+			d.fail("node %d has out-of-preorder parent %d", i, parent)
 		}
 		n.Parent = int32(parent)
-		nattrs, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if nattrs > 1<<20 {
-			return nil, fmt.Errorf("rtmodel: implausible attr count %d", nattrs)
-		}
+		nattrs := d.Count(MaxWireCount)
 		n.Attrs = make([]Attr, 0, min(nattrs, 64))
-		for j := uint64(0); j < nattrs; j++ {
-			var refs [5]uint64
-			for k := range refs {
-				if refs[k], err = binary.ReadUvarint(br); err != nil {
-					return nil, err
-				}
-			}
-			var a Attr
-			if a.Name, err = str(refs[0]); err != nil {
-				return nil, err
-			}
-			if a.Raw, err = str(refs[1]); err != nil {
-				return nil, err
-			}
-			if a.Unit, err = str(refs[2]); err != nil {
-				return nil, err
-			}
-			a.Dim = units.Dimension(refs[3])
-			a.Flags = AttrFlags(refs[4])
-			var fbuf [8]byte
-			if _, err := io.ReadFull(br, fbuf[:]); err != nil {
-				return nil, err
-			}
-			a.Value = math.Float64frombits(binary.LittleEndian.Uint64(fbuf[:]))
-			n.Attrs = append(n.Attrs, a)
+		for range nattrs {
+			n.Attrs = append(n.Attrs, Attr{
+				Name: ref(), Raw: ref(), Unit: ref(),
+				Dim: units.Dimension(d.Uvarint()), Flags: AttrFlags(d.Uvarint()),
+				Value: d.F64(),
+			})
 		}
-		nprops, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if nprops > 1<<20 {
-			return nil, fmt.Errorf("rtmodel: implausible prop count %d", nprops)
-		}
+		nprops := d.Count(MaxWireCount)
 		n.Props = make([]Prop, 0, min(nprops, 64))
-		for j := uint64(0); j < nprops; j++ {
-			var p Prop
-			nameID, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			if p.Name, err = str(nameID); err != nil {
-				return nil, err
-			}
-			nkv, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			for k := uint64(0); k < nkv; k++ {
-				kID, err := binary.ReadUvarint(br)
-				if err != nil {
-					return nil, err
-				}
-				vID, err := binary.ReadUvarint(br)
-				if err != nil {
-					return nil, err
-				}
-				ks, err := str(kID)
-				if err != nil {
-					return nil, err
-				}
-				vs, err := str(vID)
-				if err != nil {
-					return nil, err
-				}
-				p.KVs = append(p.KVs, [2]string{ks, vs})
+		for range nprops {
+			p := Prop{Name: ref()}
+			for range d.Count(MaxWireCount) {
+				p.KVs = append(p.KVs, [2]string{ref(), ref()})
 			}
 			n.Props = append(n.Props, p)
 		}
-		nchildren, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if nchildren > nnodes {
-			return nil, fmt.Errorf("rtmodel: implausible child count %d", nchildren)
-		}
-		for j := uint64(0); j < nchildren; j++ {
-			ci, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			if ci >= nnodes {
-				return nil, fmt.Errorf("rtmodel: child index %d out of range", ci)
+		for range d.Count(nnodes) {
+			ci := d.Uvarint()
+			if ci >= uint64(nnodes) {
+				d.fail("child index %d out of range", ci)
 			}
 			n.Children = append(n.Children, int32(ci))
 		}
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -624,38 +438,33 @@ func LoadFile(path string) (*Model, error) {
 	return Load(f)
 }
 
-// Equal compares two models structurally (used in round-trip tests).
+// Equal reports whether two models hold the same content: node for
+// node the same parent, children and NodeContentEqual content. It
+// holds exactly when their canonical streams (WriteCanonical) match.
 func Equal(a, b *Model) bool {
 	if len(a.Nodes) != len(b.Nodes) {
 		return false
 	}
 	for i := range a.Nodes {
 		x, y := &a.Nodes[i], &b.Nodes[i]
-		if x.Kind != y.Kind || x.Name != y.Name || x.ID != y.ID || x.Type != y.Type ||
-			x.Parent != y.Parent || len(x.Attrs) != len(y.Attrs) ||
-			len(x.Props) != len(y.Props) || len(x.Children) != len(y.Children) {
+		if x.Parent != y.Parent || !slices.Equal(x.Children, y.Children) || !NodeContentEqual(x, y) {
 			return false
-		}
-		for j := range x.Attrs {
-			if x.Attrs[j] != y.Attrs[j] {
-				return false
-			}
-		}
-		for j := range x.Props {
-			if x.Props[j].Name != y.Props[j].Name || len(x.Props[j].KVs) != len(y.Props[j].KVs) {
-				return false
-			}
-			for k := range x.Props[j].KVs {
-				if x.Props[j].KVs[k] != y.Props[j].KVs[k] {
-					return false
-				}
-			}
-		}
-		for j := range x.Children {
-			if x.Children[j] != y.Children[j] {
-				return false
-			}
 		}
 	}
 	return true
+}
+
+// NodeContentEqual reports whether two nodes carry the same content:
+// kind, name, id, type, attributes and properties; parent and children
+// are not compared. Attribute values compare by their bits, as both
+// encodings store them: a NaN equals itself, and 0 differs from -0.
+func NodeContentEqual(a, b *Node) bool {
+	return a.Kind == b.Kind && a.Name == b.Name && a.ID == b.ID && a.Type == b.Type &&
+		slices.EqualFunc(a.Attrs, b.Attrs, func(x, y Attr) bool {
+			return x.Name == y.Name && x.Raw == y.Raw && x.Unit == y.Unit && x.Dim == y.Dim &&
+				x.Flags == y.Flags && math.Float64bits(x.Value) == math.Float64bits(y.Value)
+		}) &&
+		slices.EqualFunc(a.Props, b.Props, func(p, q Prop) bool {
+			return p.Name == q.Name && slices.Equal(p.KVs, q.KVs)
+		})
 }

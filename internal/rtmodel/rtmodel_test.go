@@ -3,6 +3,8 @@ package rtmodel
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -142,6 +144,47 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestEqualMatchesCanonical checks that Equal holds exactly when the
+// canonical streams match, for the float values where == and bitwise
+// equality part: NaN, and 0 against -0.
+func TestEqualMatchesCanonical(t *testing.T) {
+	canon := func(m *Model) []byte {
+		var b bytes.Buffer
+		if err := m.WriteCanonical(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	withValue := func(v float64) *Model {
+		m := goldenModel()
+		m.Nodes[1].Attrs[0].Value = v
+		return m
+	}
+	negZero := math.Copysign(0, -1)
+	for _, c := range []struct {
+		name string
+		a, b float64
+	}{
+		{"NaN", math.NaN(), math.NaN()},
+		{"zero", 0, 0},
+		{"signed zero", 0, negZero},
+		{"NaN and zero", math.NaN(), 0},
+		{"values", 30, 31},
+	} {
+		a, b := withValue(c.a), withValue(c.b)
+		same := bytes.Equal(canon(a), canon(b))
+		if got := Equal(a, b); got != same {
+			t.Errorf("%s: Equal = %v, canonical streams equal = %v", c.name, got, same)
+		}
+		if got := NodeContentEqual(&a.Nodes[1], &b.Nodes[1]); got != same {
+			t.Errorf("%s: NodeContentEqual = %v, want %v", c.name, got, same)
+		}
+	}
+	if nan := withValue(math.NaN()); !Equal(nan, nan) {
+		t.Error("a model with a NaN value is not Equal to itself")
+	}
+}
+
 func TestIndexOf(t *testing.T) {
 	m := Build(sample())
 	cpu, _ := m.Lookup("cpu0")
@@ -274,5 +317,67 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if strings.TrimSpace(buf.String()) != "{}" {
 		t.Fatalf("empty JSON = %q", buf.String())
+	}
+}
+
+// TestLoadRejectsForgedRecords feeds hand-assembled files that are
+// well-formed up to one forged field. Load must reject each with an
+// error wrapping ErrWire; the unforged control must load.
+func TestLoadRejectsForgedRecords(t *testing.T) {
+	// file assembles a .xrt file with string table {"system"} and the
+	// given node section.
+	file := func(nodes func(e *Enc)) []byte {
+		e := Enc{Buf: []byte(Magic)}
+		e.Uvarint(Version)
+		e.Uvarint(1)
+		e.rawString("system")
+		nodes(&e)
+		return e.Buf
+	}
+	// root appends one root record with the given parent, string ref,
+	// attr count and child list.
+	root := func(e *Enc, parent int64, ref, nattrs uint64, children ...uint64) {
+		e.Uvarint(1) // nnodes
+		for range 4 {
+			e.Uvarint(ref)
+		}
+		e.Varint(parent)
+		e.Uvarint(nattrs)
+		e.Uvarint(0) // nprops
+		e.Uvarint(uint64(len(children)))
+		for _, c := range children {
+			e.Uvarint(c)
+		}
+	}
+	if _, err := Load(bytes.NewReader(file(func(e *Enc) { root(e, -1, 0, 0) }))); err != nil {
+		t.Fatalf("control file rejected: %v", err)
+	}
+	cases := map[string][]byte{
+		"string ref out of range":  file(func(e *Enc) { root(e, -1, 1, 0) }),
+		"root with a parent":       file(func(e *Enc) { root(e, 0, 0, 0) }),
+		"parent below -1":          file(func(e *Enc) { root(e, -2, 0, 0) }),
+		"child index out of range": file(func(e *Enc) { root(e, -1, 0, 0, 1) }),
+		"attr count over cap": file(func(e *Enc) {
+			root(e, -1, 0, MaxWireCount+1)
+			e.Buf = append(e.Buf, make([]byte, 2*MaxWireCount)...) // enough input
+		}),
+		"attr count beyond input": file(func(e *Enc) { root(e, -1, 0, 1000) }),
+		"node count over cap":     file(func(e *Enc) { e.Uvarint(1<<26 + 1) }),
+		"node count beyond input": file(func(e *Enc) { e.Uvarint(1000) }),
+		"string over 1 MiB": func() []byte {
+			e := Enc{Buf: []byte(Magic)}
+			e.Uvarint(Version)
+			e.Uvarint(1)
+			e.Uvarint(1<<20 + 1)
+			e.Buf = append(e.Buf, make([]byte, 1<<20+1)...)
+			return e.Buf
+		}(),
+		"string table over cap": append([]byte(Magic), 1, 0x81, 0x80, 0x80, 0x08), // 1<<24 + 1
+		"truncated body":        file(func(e *Enc) { root(e, -1, 0, 0) })[:len(Magic)+9],
+	}
+	for name, src := range cases {
+		if _, err := Load(bytes.NewReader(src)); !errors.Is(err, ErrWire) {
+			t.Errorf("%s: err = %v, want one wrapping ErrWire", name, err)
+		}
 	}
 }

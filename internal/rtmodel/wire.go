@@ -1,10 +1,15 @@
-// Binary query-protocol wire layer: the string-interned varint
-// primitives of the runtime-model file format, generalized into a
-// reusable encoder/decoder pair plus a versioned, length-prefixed
-// framing. internal/serve builds the xpdld binary protocol
-// (Content-Type application/x-xpdl-bin) on top of these helpers; the
-// format promises are documented in the README "Binary protocol"
-// section.
+// Wire primitives and the binary query-protocol framing. Enc and Dec
+// append and consume varints, fixed-width float64s, booleans and
+// strings, with sticky, allocation-bounded decoding. Two formats ride
+// on them:
+//
+//   - the runtime-model encodings of rtmodel.go: the .xrt file (Save,
+//     Load) and the canonical stream that snapshot fingerprints hash
+//     (WriteCanonical), one node record written by putNode, strings as
+//     uvarint length plus bytes or as string-table indices;
+//   - the xpdld binary protocol (Content-Type application/x-xpdl-bin),
+//     which internal/serve builds from the envelope and frames below
+//     and whose promises the README "Binary protocol" section states.
 //
 // Envelope layout (one message):
 //
@@ -18,14 +23,14 @@
 //	uvarint    payload length in bytes
 //	payload    payload bytes
 //
-// Inside a payload, strings are interned: the first occurrence is
-// encoded as uvarint(len<<1|1) followed by the bytes and enters a
-// table shared by encoder and decoder; later occurrences encode as
-// uvarint(tableIndex<<1). Strings longer than MaxInternLen and any
-// string seen after the table reaches MaxInternStrings are never
-// interned (both sides apply the same rule, so the tables stay in
-// lock-step). Numbers are varint/uvarint or fixed 8-byte little-endian
-// float64; booleans are one byte.
+// Inside a payload, strings are interned (Enc.String, Dec.String): the
+// first occurrence is encoded as uvarint(len<<1|1) followed by the
+// bytes and enters a table shared by encoder and decoder; later
+// occurrences encode as uvarint(tableIndex<<1). Strings longer than
+// MaxInternLen and any string seen after the table reaches
+// MaxInternStrings are never interned (both sides apply the same rule,
+// so the tables stay in lock-step). Numbers are varint/uvarint or fixed
+// 8-byte little-endian float64; booleans are one byte.
 package rtmodel
 
 import (
@@ -100,9 +105,7 @@ func (e *Enc) Varint(v int64) {
 
 // F64 appends a fixed-width little-endian float64.
 func (e *Enc) F64(f float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-	e.Buf = append(e.Buf, b[:]...)
+	e.Buf = binary.LittleEndian.AppendUint64(e.Buf, math.Float64bits(f))
 }
 
 // Bool appends one byte (0 or 1).
@@ -129,6 +132,13 @@ func (e *Enc) String(s string) {
 		}
 		e.tab[s] = uint32(len(e.tab))
 	}
+}
+
+// rawString appends s as uvarint length plus bytes, never interned:
+// the string encoding of the runtime-model formats.
+func (e *Enc) rawString(s string) {
+	e.Uvarint(uint64(len(s)))
+	e.Buf = append(e.Buf, s...)
 }
 
 // ---- decoder ----
@@ -237,17 +247,30 @@ func (d *Dec) String() string {
 		return d.tab[idx]
 	}
 	l := tok >> 1
+	s := d.take(l)
+	// Mirror the encoder's interning rule exactly, or every later
+	// back-reference would resolve to the wrong entry.
+	if d.err == nil && l <= MaxInternLen && len(d.tab) < MaxInternStrings {
+		d.tab = append(d.tab, s)
+	}
+	return s
+}
+
+// rawString consumes a string written by Enc.rawString.
+func (d *Dec) rawString() string { return d.take(d.Uvarint()) }
+
+// take consumes l bytes as a string copy; l is checked against
+// MaxWireString and the remaining input first.
+func (d *Dec) take(l uint64) string {
+	if d.err != nil {
+		return ""
+	}
 	if l > MaxWireString || l > uint64(d.Remaining()) {
 		d.fail("string length %d exceeds remaining %d bytes", l, d.Remaining())
 		return ""
 	}
 	s := string(d.b[d.off : d.off+int(l)])
 	d.off += int(l)
-	// Mirror the encoder's interning rule exactly, or every later
-	// back-reference would resolve to the wrong entry.
-	if l <= MaxInternLen && len(d.tab) < MaxInternStrings {
-		d.tab = append(d.tab, s)
-	}
 	return s
 }
 

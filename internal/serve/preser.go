@@ -89,8 +89,10 @@ func preparePatched(snap, old *Snapshot) {
 		if !ok {
 			return true
 		}
+		// The element answer renders node content only; the shape was
+		// verified at adoption.
 		nn, ok := nm.Lookup(k.(string))
-		if ok && nodeAnswerEqual(nn, on) {
+		if ok && rtmodel.NodeContentEqual(nn, on) {
 			p.elems.Store(k, v)
 			mPreserReused.Inc()
 		}
@@ -135,34 +137,6 @@ func sameTreeShape(snap, old *Snapshot) bool {
 	for i := range a.Nodes {
 		if a.Nodes[i].Type != b.Nodes[i].Type {
 			return false
-		}
-	}
-	return true
-}
-
-// nodeAnswerEqual reports whether two runtime nodes render the same
-// element answer: identity, type, attributes and properties all equal
-// (children references are shape-level and were verified at adoption).
-func nodeAnswerEqual(a, b *rtmodel.Node) bool {
-	if a.Kind != b.Kind || a.Name != b.Name || a.ID != b.ID || a.Type != b.Type {
-		return false
-	}
-	if len(a.Attrs) != len(b.Attrs) || len(a.Props) != len(b.Props) {
-		return false
-	}
-	for i := range a.Attrs {
-		if a.Attrs[i] != b.Attrs[i] {
-			return false
-		}
-	}
-	for i := range a.Props {
-		if a.Props[i].Name != b.Props[i].Name || len(a.Props[i].KVs) != len(b.Props[i].KVs) {
-			return false
-		}
-		for j := range a.Props[i].KVs {
-			if a.Props[i].KVs[j] != b.Props[i].KVs[j] {
-				return false
-			}
 		}
 	}
 	return true

@@ -145,6 +145,12 @@ func changedSummary(old, cur *Snapshot) []string {
 // Get returns the current snapshot of ident, loading it through the
 // toolchain on first use (or after eviction). The returned snapshot is
 // immutable; callers use it for the duration of one request.
+//
+// A cold load does not invalidate the loader's descriptor cache: it
+// resolves what that cache holds, which is as fresh as the last
+// revalidation cycle or POST /v1/models/{model}/refresh — the same
+// staleness bound a resident snapshot has. Invalidating here would
+// cost one conditional request per remote descriptor on every load.
 func (st *Store) Get(ctx context.Context, ident string) (*Snapshot, error) {
 	st.mu.RLock()
 	e := st.entries[ident]
