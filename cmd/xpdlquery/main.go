@@ -283,11 +283,11 @@ type localBackend struct {
 	s *query.Session
 }
 
-func (l *localBackend) Tree(w io.Writer) error         { return serve.WriteTree(w, l.s.Root()) }
-func (l *localBackend) Cores() (int, error)            { return l.s.Root().NumCores(), nil }
-func (l *localBackend) CUDADevices() (int, error)      { return l.s.Root().NumCUDADevices(), nil }
-func (l *localBackend) Installed() ([]string, error)   { return l.s.InstalledList(), nil }
-func (l *localBackend) JSON(w io.Writer) error         { return l.s.Model().WriteJSON(w) }
+func (l *localBackend) Tree(w io.Writer) error       { return serve.WriteTree(w, l.s.Root()) }
+func (l *localBackend) Cores() (int, error)          { return l.s.Root().NumCores(), nil }
+func (l *localBackend) CUDADevices() (int, error)    { return l.s.Root().NumCUDADevices(), nil }
+func (l *localBackend) Installed() ([]string, error) { return l.s.InstalledList(), nil }
+func (l *localBackend) JSON(w io.Writer) error       { return l.s.Model().WriteJSON(w) }
 func (l *localBackend) StaticPower() (units.Quantity, error) {
 	return l.s.Root().TotalStaticPower(), nil
 }

@@ -172,6 +172,16 @@ func (d *Dec) fail(format string, args ...any) {
 	}
 }
 
+// Fail records err as the sticky error unless one is already set. It
+// serves checks the primitives cannot make, such as a field's value
+// or a nested frame decoded by a Dec of its own; err should wrap
+// ErrWire.
+func (d *Dec) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
 // Uvarint consumes an unsigned varint.
 func (d *Dec) Uvarint() uint64 {
 	if d.err != nil {

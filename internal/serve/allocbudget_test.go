@@ -63,7 +63,7 @@ func TestBinarySelectAllocBudget(t *testing.T) {
 	// Protocol layer alone: pooled encoder, encode, frame headers.
 	encodeOnce := func() {
 		e := getEnc()
-		resp.encodeTo(e)
+		resp.wire(codec{e: e})
 		var hdr [rtmodel.MaxFrameHeader]byte
 		n := rtmodel.PutWireHeader(hdr[:])
 		_ = rtmodel.PutFrameHeader(hdr[n:], resp.frame(), len(e.Buf))

@@ -68,7 +68,7 @@ func assertParity(t *testing.T, srv *Server, method, target string, body []byte,
 			t.Fatalf("%s %s: error answered frame type %d", method, target, ft)
 		}
 		var bErr ErrorResponse
-		if err := bErr.decodeFrom(rtmodel.NewDec(payload)); err != nil {
+		if err := decodeWire(&bErr, payload); err != nil {
 			t.Fatalf("%s %s: decoding error frame: %v", method, target, err)
 		}
 		var jErr ErrorResponse
@@ -83,7 +83,7 @@ func assertParity(t *testing.T, srv *Server, method, target string, body []byte,
 	if ft != out.frame() {
 		t.Fatalf("%s %s: frame type %d, want %d", method, target, ft, out.frame())
 	}
-	if err := out.decodeFrom(rtmodel.NewDec(payload)); err != nil {
+	if err := decodeWire(out, payload); err != nil {
 		t.Fatalf("%s %s: decoding binary payload: %v", method, target, err)
 	}
 	if got := marshalIndented(out); !bytes.Equal(got, js.Body.Bytes()) {

@@ -8,27 +8,15 @@ import (
 	"xpdl/internal/rtmodel"
 )
 
-// Binary protocol layer: frame-type assignments and hand-written
-// codecs for every wire struct in api.go. A binary response is one
-// rtmodel wire envelope (magic + version + frame) whose payload is the
+// Binary protocol layer: frame-type assignments and one wire layout
+// per wire struct in api.go. A binary response is one rtmodel wire
+// envelope (magic + version + frame) whose payload is the
 // frame-type-specific encoding below. The binary form is an exact
 // re-encoding of the JSON answer: the differential parity suite
 // asserts that decoding a binary response yields a struct deeply equal
-// to the JSON answer for the same request, field for field.
-//
-// Encoding conventions (mirrored by every codec so parity holds):
-//
-//   - Slices behind JSON fields WITHOUT omitempty (SelectResponse.
-//     Elements, SummaryResponse.Installed, ...) decode to non-nil
-//     empty slices, matching what encoding/json produces for "[]".
-//   - Slices and maps behind omitempty fields decode to nil when
-//     empty, matching a JSON answer that omitted the key.
-//   - time.Time travels as its RFC3339Nano rendering — the exact
-//     string encoding/json marshals.
-//   - Maps encode with sorted keys, so the encoding is deterministic
-//     and pre-serialized bytes are stable for a given answer.
-//   - Decoders ignore trailing payload bytes: a newer server may
-//     append fields, and an older client still reads its prefix.
+// to the JSON answer for the same request, field for field. Each
+// message's wire method walks its fields in wire order through a codec
+// (below), which both encodes and decodes.
 const (
 	frameError rtmodel.FrameType = iota
 	frameSummary
@@ -56,16 +44,17 @@ const (
 const ContentTypeBinary = "application/x-xpdl-bin"
 
 // binaryMessage is implemented by every wire struct that travels as a
-// binary frame. decodeFrom must tolerate trailing bytes (forward
-// compatibility) and return the decoder's first error.
+// binary frame: wire codes the struct's fields in wire order.
 type binaryMessage interface {
 	frame() rtmodel.FrameType
-	encodeTo(e *rtmodel.Enc)
-	decodeFrom(d *rtmodel.Dec) error
+	wire(c codec)
 }
 
-// binaryMessageOf maps a handler's payload value to its binary codec;
-// ok is false for payloads that have no binary form (none today).
+// binaryMessageOf maps a handler's payload value to its binary layout;
+// ok is false for payloads that have no binary form. Those answer JSON
+// even to a binary Accept: the sweep submission, the job list, job
+// status and job cancel (and the watch long poll, written outside
+// writeAPI).
 func binaryMessageOf(v any) (binaryMessage, bool) {
 	switch t := v.(type) {
 	case SummaryResponse:
@@ -101,553 +90,422 @@ func binaryMessageOf(v any) (binaryMessage, bool) {
 	}
 }
 
-// ---- shared helpers ----
+// ---- the codec ----
 
-func encStrings(e *rtmodel.Enc, ss []string) {
-	e.Uvarint(uint64(len(ss)))
-	for _, s := range ss {
-		e.String(s)
+// codec walks one message's fields in wire order. It encodes when e is
+// set and decodes when d is set, so each message's layout is written
+// once, in its wire method, for both directions. A codec is a small
+// value: passing it by value keeps a message's wire call free of
+// allocations.
+//
+// Encoding conventions (every field helper below applies them, so the
+// binary answer decodes to the JSON answer field for field):
+//
+//   - One helper per Go field type: int and uint64 travel as uvarints,
+//     int64 as a zig-zag varint, float64 as 8 little-endian bytes, bool
+//     as one byte, string as an interned string (rtmodel.Enc.String).
+//   - time.Time travels as its RFC3339Nano rendering, the exact string
+//     encoding/json marshals; a string time.Parse rejects fails the
+//     decode with an error wrapping rtmodel.ErrWire.
+//   - A *float64 travels as a presence bool, then the value if present.
+//   - A list or map travels as a count, then its elements; maps go out
+//     with sorted keys, so the encoding is deterministic and
+//     pre-serialized bytes are stable for a given answer. Each list and
+//     map field states how an empty value decodes (type empty): to nil
+//     behind a JSON field with omitempty, matching an answer that omits
+//     the key, or to a non-nil empty value otherwise, matching "[]".
+//   - Decoders ignore trailing payload bytes: a newer server may append
+//     fields, and an older client still reads its prefix.
+type codec struct {
+	e *rtmodel.Enc
+	d *rtmodel.Dec
+}
+
+// decodeWire decodes one frame payload into m and returns the first
+// decoding error, which wraps rtmodel.ErrWire.
+func decodeWire(m binaryMessage, payload []byte) error {
+	d := rtmodel.NewDec(payload)
+	m.wire(codec{d: d})
+	return d.Err()
+}
+
+// failed reports whether decoding has hit an error; later reads return
+// zero values, so list and map loops stop early.
+func (c codec) failed() bool { return c.d != nil && c.d.Err() != nil }
+
+// fail records a decoding error wrapping rtmodel.ErrWire.
+func (c codec) fail(format string, args ...any) {
+	c.d.Fail(fmt.Errorf("%w: %s", rtmodel.ErrWire, fmt.Sprintf(format, args...)))
+}
+
+func (c codec) string(v *string) {
+	if c.e != nil {
+		c.e.String(*v)
+	} else {
+		*v = c.d.String()
 	}
 }
 
-// decStrings decodes a string list for a non-omitempty field: empty
-// decodes as a non-nil empty slice (JSON "[]" parity).
-func decStrings(d *rtmodel.Dec) []string {
-	n := d.Count(rtmodel.MaxWireCount)
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.String())
+func (c codec) int(v *int) {
+	if c.e != nil {
+		c.e.Uvarint(uint64(*v))
+	} else {
+		*v = int(c.d.Uvarint())
 	}
-	return out
 }
 
-// decStringsOmit decodes a string list for an omitempty field: empty
-// decodes as nil (omitted-key parity).
-func decStringsOmit(d *rtmodel.Dec) []string {
-	n := d.Count(rtmodel.MaxWireCount)
-	if n == 0 {
-		return nil
+func (c codec) uint64(v *uint64) {
+	if c.e != nil {
+		c.e.Uvarint(*v)
+	} else {
+		*v = c.d.Uvarint()
 	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.String())
-	}
-	return out
 }
 
-func encTime(e *rtmodel.Enc, t time.Time) {
-	e.String(t.Format(time.RFC3339Nano))
+func (c codec) int64(v *int64) {
+	if c.e != nil {
+		c.e.Varint(*v)
+	} else {
+		*v = c.d.Varint()
+	}
 }
 
-func decTime(d *rtmodel.Dec) time.Time {
-	s := d.String()
-	if d.Err() != nil {
-		return time.Time{}
+func (c codec) float64(v *float64) {
+	if c.e != nil {
+		c.e.F64(*v)
+	} else {
+		*v = c.d.F64()
+	}
+}
+
+func (c codec) bool(v *bool) {
+	if c.e != nil {
+		c.e.Bool(*v)
+	} else {
+		*v = c.d.Bool()
+	}
+}
+
+func (c codec) time(v *time.Time) {
+	if c.e != nil {
+		c.e.String(v.Format(time.RFC3339Nano))
+		return
+	}
+	s := c.d.String()
+	if c.failed() {
+		return
 	}
 	t, err := time.Parse(time.RFC3339Nano, s)
 	if err != nil {
-		return time.Time{}
+		c.fail("time %q: %v", s, err)
+		return
 	}
-	return t
+	*v = t
 }
 
-// ---- per-message codecs ----
+func (c codec) optFloat64(v **float64) {
+	present := *v != nil
+	c.bool(&present)
+	if !present {
+		*v = nil
+		return
+	}
+	if c.d != nil {
+		*v = new(float64)
+	}
+	c.float64(*v)
+}
+
+// empty states how an empty list or map field decodes.
+type empty bool
+
+const (
+	omitEmpty empty = true  // to nil: the JSON field has omitempty
+	keepEmpty empty = false // to a non-nil empty value: JSON "[]"
+)
+
+// slice codes a slice field: its length, then each element through elem.
+func slice[T any](c codec, v *[]T, ifEmpty empty, elem func(codec, *T)) {
+	if c.e != nil {
+		c.e.Uvarint(uint64(len(*v)))
+	} else if n := c.d.Count(rtmodel.MaxWireCount); n == 0 && ifEmpty == omitEmpty {
+		*v = nil
+	} else {
+		*v = make([]T, n)
+	}
+	for i := range *v {
+		if elem(c, &(*v)[i]); c.failed() {
+			return
+		}
+	}
+}
+
+// sortedMap codes a string-keyed map field: its size, then each key
+// and its value through val, keys in sorted order. val takes and
+// returns the value rather than a pointer to it, so that no value
+// escapes to the heap through the function call.
+func sortedMap[V any](c codec, v *map[string]V, ifEmpty empty, val func(codec, V) V) {
+	if c.e != nil {
+		keys := make([]string, 0, len(*v))
+		for k := range *v {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		c.e.Uvarint(uint64(len(keys)))
+		for _, k := range keys {
+			c.e.String(k)
+			val(c, (*v)[k])
+		}
+		return
+	}
+	n := c.d.Count(rtmodel.MaxWireCount)
+	if n == 0 && ifEmpty == omitEmpty {
+		*v = nil
+		return
+	}
+	*v = make(map[string]V, n)
+	var zero V
+	for i := 0; i < n; i++ {
+		k := c.d.String()
+		x := val(c, zero)
+		if c.failed() {
+			return
+		}
+		(*v)[k] = x
+	}
+}
+
+// subFrame codes a nested frame: its type, its payload length and the
+// payload, which body codes with an intern table of its own. On decode
+// *t is read before body runs.
+func (c codec) subFrame(t *rtmodel.FrameType, body func(codec)) {
+	if c.e != nil {
+		sub := getEnc()
+		body(codec{e: sub})
+		c.e.Buf = rtmodel.AppendFrame(c.e.Buf, *t, sub.Buf)
+		putEnc(sub)
+		return
+	}
+	*t = rtmodel.FrameType(c.d.Byte())
+	l := c.d.Uvarint()
+	if l > rtmodel.MaxFramePayload {
+		c.fail("sub-frame length %d", l)
+	}
+	payload := c.d.Raw(int(l))
+	if c.failed() {
+		return
+	}
+	sub := rtmodel.NewDec(payload)
+	body(codec{d: sub})
+	if err := sub.Err(); err != nil {
+		c.d.Fail(err)
+	}
+}
+
+// ---- per-message layouts ----
 
 func (m *ErrorResponse) frame() rtmodel.FrameType { return frameError }
 
-func (m *ErrorResponse) encodeTo(e *rtmodel.Enc) {
-	e.String(m.Error)
-}
-
-func (m *ErrorResponse) decodeFrom(d *rtmodel.Dec) error {
-	m.Error = d.String()
-	return d.Err()
+func (m *ErrorResponse) wire(c codec) {
+	c.string(&m.Error)
 }
 
 func (m *SummaryResponse) frame() rtmodel.FrameType { return frameSummary }
 
-func (m *SummaryResponse) encodeTo(e *rtmodel.Enc) {
-	e.Uvarint(uint64(m.Cores))
-	e.Uvarint(uint64(m.CUDADevices))
-	e.F64(m.StaticPowerW)
-	encStrings(e, m.Installed)
+func (m *SummaryResponse) wire(c codec) {
+	c.int(&m.Cores)
+	c.int(&m.CUDADevices)
+	c.float64(&m.StaticPowerW)
+	slice(c, &m.Installed, keepEmpty, codec.string)
 }
 
-func (m *SummaryResponse) decodeFrom(d *rtmodel.Dec) error {
-	m.Cores = int(d.Uvarint())
-	m.CUDADevices = int(d.Uvarint())
-	m.StaticPowerW = d.F64()
-	m.Installed = decStrings(d)
-	return d.Err()
-}
-
-func encRef(e *rtmodel.Enc, r *ElementRef) {
-	e.String(r.Kind)
-	e.String(r.Ident)
-	e.String(r.Path)
-}
-
-func decRef(d *rtmodel.Dec, r *ElementRef) {
-	r.Kind = d.String()
-	r.Ident = d.String()
-	r.Path = d.String()
+func (c codec) ref(r *ElementRef) {
+	c.string(&r.Kind)
+	c.string(&r.Ident)
+	c.string(&r.Path)
 }
 
 func (m *SelectResponse) frame() rtmodel.FrameType { return frameSelect }
 
-func (m *SelectResponse) encodeTo(e *rtmodel.Enc) {
-	e.Uvarint(uint64(m.Count))
-	e.Uvarint(uint64(len(m.Elements)))
-	for i := range m.Elements {
-		encRef(e, &m.Elements[i])
-	}
-}
-
-func (m *SelectResponse) decodeFrom(d *rtmodel.Dec) error {
-	m.Count = int(d.Uvarint())
-	n := d.Count(rtmodel.MaxWireCount)
-	m.Elements = make([]ElementRef, n)
-	for i := range m.Elements {
-		decRef(d, &m.Elements[i])
-	}
-	return d.Err()
+func (m *SelectResponse) wire(c codec) {
+	c.int(&m.Count)
+	slice(c, &m.Elements, keepEmpty, codec.ref)
 }
 
 func (m *EvalResponse) frame() rtmodel.FrameType { return frameEval }
 
-func (m *EvalResponse) encodeTo(e *rtmodel.Enc) {
-	e.String(m.Kind)
-	e.F64(m.Num)
-	e.Bool(m.Bool)
-	e.String(m.Str)
-	e.String(m.Text)
+func (m *EvalResponse) wire(c codec) {
+	c.string(&m.Kind)
+	c.float64(&m.Num)
+	c.bool(&m.Bool)
+	c.string(&m.Str)
+	c.string(&m.Text)
 }
 
-func (m *EvalResponse) decodeFrom(d *rtmodel.Dec) error {
-	m.Kind = d.String()
-	m.Num = d.F64()
-	m.Bool = d.Bool()
-	m.Str = d.String()
-	m.Text = d.String()
-	return d.Err()
-}
-
-func encAttr(e *rtmodel.Enc, a *AttrJSON) {
-	e.String(a.Raw)
-	if a.Value != nil {
-		e.Bool(true)
-		e.F64(*a.Value)
-	} else {
-		e.Bool(false)
-	}
-	e.String(a.Unit)
-	e.String(a.Display)
-	e.Bool(a.Unknown)
-}
-
-func decAttr(d *rtmodel.Dec, a *AttrJSON) {
-	a.Raw = d.String()
-	if d.Bool() {
-		v := d.F64()
-		a.Value = &v
-	}
-	a.Unit = d.String()
-	a.Display = d.String()
-	a.Unknown = d.Bool()
+func (c codec) attr(a AttrJSON) AttrJSON {
+	c.string(&a.Raw)
+	c.optFloat64(&a.Value)
+	c.string(&a.Unit)
+	c.string(&a.Display)
+	c.bool(&a.Unknown)
+	return a
 }
 
 func (m *ElementJSON) frame() rtmodel.FrameType { return frameElement }
 
-func (m *ElementJSON) encodeTo(e *rtmodel.Enc) {
-	e.String(m.Kind)
-	e.String(m.ID)
-	e.String(m.Name)
-	e.String(m.Type)
-	e.String(m.Path)
-	keys := make([]string, 0, len(m.Attrs))
-	for k := range m.Attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.String(k)
-		a := m.Attrs[k]
-		encAttr(e, &a)
-	}
-	e.Uvarint(uint64(len(m.Children)))
-	for i := range m.Children {
-		encRef(e, &m.Children[i])
-	}
-}
-
-func (m *ElementJSON) decodeFrom(d *rtmodel.Dec) error {
-	m.Kind = d.String()
-	m.ID = d.String()
-	m.Name = d.String()
-	m.Type = d.String()
-	m.Path = d.String()
-	if n := d.Count(rtmodel.MaxWireCount); n > 0 {
-		m.Attrs = make(map[string]AttrJSON, n)
-		for i := 0; i < n; i++ {
-			k := d.String()
-			var a AttrJSON
-			decAttr(d, &a)
-			if d.Err() != nil {
-				return d.Err()
-			}
-			m.Attrs[k] = a
-		}
-	}
-	if n := d.Count(rtmodel.MaxWireCount); n > 0 {
-		m.Children = make([]ElementRef, n)
-		for i := range m.Children {
-			decRef(d, &m.Children[i])
-		}
-	}
-	return d.Err()
+func (m *ElementJSON) wire(c codec) {
+	c.string(&m.Kind)
+	c.string(&m.ID)
+	c.string(&m.Name)
+	c.string(&m.Type)
+	c.string(&m.Path)
+	sortedMap(c, &m.Attrs, omitEmpty, codec.attr)
+	slice(c, &m.Children, omitEmpty, codec.ref)
 }
 
 func (m *EnergyResponse) frame() rtmodel.FrameType { return frameEnergy }
 
-func (m *EnergyResponse) encodeTo(e *rtmodel.Enc) {
-	e.String(m.Table)
-	encStrings(e, m.Instructions)
-	encStrings(e, m.Unknowns)
-	e.String(m.Inst)
-	e.F64(m.GHz)
-	if m.EnergyJ != nil {
-		e.Bool(true)
-		e.F64(*m.EnergyJ)
-	} else {
-		e.Bool(false)
-	}
-}
-
-func (m *EnergyResponse) decodeFrom(d *rtmodel.Dec) error {
-	m.Table = d.String()
-	m.Instructions = decStringsOmit(d)
-	m.Unknowns = decStringsOmit(d)
-	m.Inst = d.String()
-	m.GHz = d.F64()
-	if d.Bool() {
-		v := d.F64()
-		m.EnergyJ = &v
-	}
-	return d.Err()
+func (m *EnergyResponse) wire(c codec) {
+	c.string(&m.Table)
+	slice(c, &m.Instructions, omitEmpty, codec.string)
+	slice(c, &m.Unknowns, omitEmpty, codec.string)
+	c.string(&m.Inst)
+	c.float64(&m.GHz)
+	c.optFloat64(&m.EnergyJ)
 }
 
 func (m *TransferResponse) frame() rtmodel.FrameType { return frameTransfer }
 
-func (m *TransferResponse) encodeTo(e *rtmodel.Enc) {
-	e.String(m.Channel)
-	e.F64(m.BandwidthBps)
-	e.Varint(m.Bytes)
-	e.Varint(m.Messages)
-	e.F64(m.TimeS)
-	e.F64(m.EnergyJ)
-}
-
-func (m *TransferResponse) decodeFrom(d *rtmodel.Dec) error {
-	m.Channel = d.String()
-	m.BandwidthBps = d.F64()
-	m.Bytes = d.Varint()
-	m.Messages = d.Varint()
-	m.TimeS = d.F64()
-	m.EnergyJ = d.F64()
-	return d.Err()
+func (m *TransferResponse) wire(c codec) {
+	c.string(&m.Channel)
+	c.float64(&m.BandwidthBps)
+	c.int64(&m.Bytes)
+	c.int64(&m.Messages)
+	c.float64(&m.TimeS)
+	c.float64(&m.EnergyJ)
 }
 
 func (m *DispatchResponse) frame() rtmodel.FrameType { return frameDispatch }
 
-func (m *DispatchResponse) encodeTo(e *rtmodel.Enc) {
-	encStrings(e, m.Selectable)
-	e.String(m.Chosen)
-	keys := make([]string, 0, len(m.Costs))
-	for k := range m.Costs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.String(k)
-		e.F64(m.Costs[k])
-	}
-	e.String(m.Warning)
-}
-
-func (m *DispatchResponse) decodeFrom(d *rtmodel.Dec) error {
-	m.Selectable = decStrings(d)
-	m.Chosen = d.String()
-	if n := d.Count(rtmodel.MaxWireCount); n > 0 {
-		m.Costs = make(map[string]float64, n)
-		for i := 0; i < n; i++ {
-			k := d.String()
-			v := d.F64()
-			if d.Err() != nil {
-				return d.Err()
-			}
-			m.Costs[k] = v
-		}
-	}
-	m.Warning = d.String()
-	return d.Err()
+func (m *DispatchResponse) wire(c codec) {
+	slice(c, &m.Selectable, keepEmpty, codec.string)
+	c.string(&m.Chosen)
+	sortedMap(c, &m.Costs, omitEmpty, func(c codec, f float64) float64 { c.float64(&f); return f })
+	c.string(&m.Warning)
 }
 
 func (m *BatchResponse) frame() rtmodel.FrameType { return frameBatch }
 
-// encodeTo frames each result as a nested sub-frame (type + length +
-// payload), so a batch decoder can skip result kinds it does not know.
-func (m *BatchResponse) encodeTo(e *rtmodel.Enc) {
-	e.Uvarint(uint64(len(m.Results)))
-	sub := getEnc()
-	defer putEnc(sub)
-	for i := range m.Results {
-		r := &m.Results[i]
-		sub.Reset()
-		var t rtmodel.FrameType
-		switch {
-		case r.Error != "":
-			t = frameError
-			(&ErrorResponse{Error: r.Error}).encodeTo(sub)
-		case r.Select != nil:
-			t = frameSelect
-			r.Select.encodeTo(sub)
-		case r.Eval != nil:
-			t = frameEval
-			r.Eval.encodeTo(sub)
-		default:
-			t = frameError
-			(&ErrorResponse{}).encodeTo(sub)
-		}
-		e.Buf = rtmodel.AppendFrame(e.Buf, t, sub.Buf)
-	}
+func (m *BatchResponse) wire(c codec) {
+	slice(c, &m.Results, keepEmpty, codec.batchResult)
 }
 
-func (m *BatchResponse) decodeFrom(d *rtmodel.Dec) error {
-	n := d.Count(rtmodel.MaxWireCount)
-	m.Results = make([]BatchResult, 0, n)
-	for i := 0; i < n; i++ {
-		t := rtmodel.FrameType(d.Byte())
-		l := d.Uvarint()
-		if l > rtmodel.MaxFramePayload {
-			return fmt.Errorf("%w: batch sub-frame length %d", rtmodel.ErrWire, l)
-		}
-		payload := d.Raw(int(l))
-		if err := d.Err(); err != nil {
-			return err
-		}
-		sd := rtmodel.NewDec(payload)
-		var res BatchResult
+// batchResult codes one result as a sub-frame holding an error, select
+// or eval message, so a batch decoder can skip result kinds it does not
+// know. A result with none of the three goes out as an empty error.
+func (c codec) batchResult(r *BatchResult) {
+	t := frameError
+	switch {
+	case r.Error != "":
+	case r.Select != nil:
+		t = frameSelect
+	case r.Eval != nil:
+		t = frameEval
+	}
+	c.subFrame(&t, func(c codec) {
 		switch t {
 		case frameError:
-			var er ErrorResponse
-			if err := er.decodeFrom(sd); err != nil {
-				return err
-			}
-			res.Error = er.Error
+			er := ErrorResponse{Error: r.Error}
+			er.wire(c)
+			r.Error = er.Error
 		case frameSelect:
-			res.Select = new(SelectResponse)
-			if err := res.Select.decodeFrom(sd); err != nil {
-				return err
+			if r.Select == nil {
+				r.Select = new(SelectResponse)
 			}
+			r.Select.wire(c)
 		case frameEval:
-			res.Eval = new(EvalResponse)
-			if err := res.Eval.decodeFrom(sd); err != nil {
-				return err
+			if r.Eval == nil {
+				r.Eval = new(EvalResponse)
 			}
+			r.Eval.wire(c)
 		default:
-			return fmt.Errorf("%w: unknown batch sub-frame type %d", rtmodel.ErrWire, t)
+			c.fail("unknown batch sub-frame type %d", t)
 		}
-		m.Results = append(m.Results, res)
-	}
-	return d.Err()
-}
-
-func encInfo(e *rtmodel.Enc, m *ModelInfo) {
-	e.String(m.Ident)
-	e.Uvarint(m.Generation)
-	e.String(m.Fingerprint)
-	encTime(e, m.LoadedAt)
-	e.Uvarint(uint64(m.Nodes))
-}
-
-func decInfo(d *rtmodel.Dec, m *ModelInfo) {
-	m.Ident = d.String()
-	m.Generation = d.Uvarint()
-	m.Fingerprint = d.String()
-	m.LoadedAt = decTime(d)
-	m.Nodes = int(d.Uvarint())
+	})
 }
 
 func (m *ModelInfo) frame() rtmodel.FrameType { return frameModelInfo }
 
-func (m *ModelInfo) encodeTo(e *rtmodel.Enc) { encInfo(e, m) }
-
-func (m *ModelInfo) decodeFrom(d *rtmodel.Dec) error {
-	decInfo(d, m)
-	return d.Err()
+func (m *ModelInfo) wire(c codec) {
+	c.string(&m.Ident)
+	c.uint64(&m.Generation)
+	c.string(&m.Fingerprint)
+	c.time(&m.LoadedAt)
+	c.int(&m.Nodes)
 }
 
 func (m *ModelsResponse) frame() rtmodel.FrameType { return frameModels }
 
-func (m *ModelsResponse) encodeTo(e *rtmodel.Enc) {
-	e.Uvarint(uint64(len(m.Models)))
-	for i := range m.Models {
-		encInfo(e, &m.Models[i])
-	}
-}
-
-func (m *ModelsResponse) decodeFrom(d *rtmodel.Dec) error {
-	n := d.Count(rtmodel.MaxWireCount)
-	m.Models = make([]ModelInfo, n)
-	for i := range m.Models {
-		decInfo(d, &m.Models[i])
-	}
-	return d.Err()
+func (m *ModelsResponse) wire(c codec) {
+	slice(c, &m.Models, keepEmpty, func(c codec, mi *ModelInfo) { mi.wire(c) })
 }
 
 func (m *HealthResponse) frame() rtmodel.FrameType { return frameHealth }
 
-func (m *HealthResponse) encodeTo(e *rtmodel.Enc) {
-	e.String(m.Status)
-	encStrings(e, m.Resident)
-	e.Uvarint(m.Generation)
+func (m *HealthResponse) wire(c codec) {
+	c.string(&m.Status)
+	slice(c, &m.Resident, keepEmpty, codec.string)
+	c.uint64(&m.Generation)
 }
 
-func (m *HealthResponse) decodeFrom(d *rtmodel.Dec) error {
-	m.Status = d.String()
-	m.Resident = decStrings(d)
-	m.Generation = d.Uvarint()
-	return d.Err()
+func (c codec) statRow(r *QueryStatRow) {
+	c.string(&r.Endpoint)
+	c.string(&r.Model)
+	c.string(&r.Shape)
+	c.string(&r.Proto)
+	c.int64(&r.Calls)
+	c.int64(&r.Errors)
+	c.int64(&r.Rows)
+	c.int64(&r.ReqBytes)
+	c.int64(&r.RespBytes)
+	c.float64(&r.LatencySumS)
+	c.float64(&r.P50S)
+	c.float64(&r.P99S)
+	slice(c, &r.BucketCounts, keepEmpty, codec.int64)
+	c.int64(&r.AllocSamples)
+	c.int64(&r.AllocObjects)
+	c.int64(&r.LastGen)
+	c.time(&r.FirstSeen)
+	c.time(&r.LastSeen)
 }
 
-func encStatRow(e *rtmodel.Enc, r *QueryStatRow) {
-	e.String(r.Endpoint)
-	e.String(r.Model)
-	e.String(r.Shape)
-	e.String(r.Proto)
-	e.Varint(r.Calls)
-	e.Varint(r.Errors)
-	e.Varint(r.Rows)
-	e.Varint(r.ReqBytes)
-	e.Varint(r.RespBytes)
-	e.F64(r.LatencySumS)
-	e.F64(r.P50S)
-	e.F64(r.P99S)
-	e.Uvarint(uint64(len(r.BucketCounts)))
-	for _, c := range r.BucketCounts {
-		e.Varint(c)
-	}
-	e.Varint(r.AllocSamples)
-	e.Varint(r.AllocObjects)
-	e.Varint(r.LastGen)
-	encTime(e, r.FirstSeen)
-	encTime(e, r.LastSeen)
-}
-
-func decStatRow(d *rtmodel.Dec, r *QueryStatRow) {
-	r.Endpoint = d.String()
-	r.Model = d.String()
-	r.Shape = d.String()
-	r.Proto = d.String()
-	r.Calls = d.Varint()
-	r.Errors = d.Varint()
-	r.Rows = d.Varint()
-	r.ReqBytes = d.Varint()
-	r.RespBytes = d.Varint()
-	r.LatencySumS = d.F64()
-	r.P50S = d.F64()
-	r.P99S = d.F64()
-	n := d.Count(rtmodel.MaxWireCount)
-	r.BucketCounts = make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		r.BucketCounts = append(r.BucketCounts, d.Varint())
-	}
-	r.AllocSamples = d.Varint()
-	r.AllocObjects = d.Varint()
-	r.LastGen = d.Varint()
-	r.FirstSeen = decTime(d)
-	r.LastSeen = decTime(d)
+func (c codec) slowQuery(s *SlowQueryJSON) {
+	c.float64(&s.LatencyMS)
+	c.string(&s.Endpoint)
+	c.string(&s.Model)
+	c.string(&s.Shape)
+	c.string(&s.Proto)
+	c.string(&s.TraceID)
+	c.bool(&s.Error)
+	c.time(&s.At)
 }
 
 func (m *QueryStatsResponse) frame() rtmodel.FrameType { return frameStats }
 
-func (m *QueryStatsResponse) encodeTo(e *rtmodel.Enc) {
-	e.Uvarint(uint64(len(m.BucketBounds)))
-	for _, b := range m.BucketBounds {
-		e.F64(b)
-	}
-	e.Uvarint(uint64(m.Digests))
-	e.Varint(m.Recorded)
-	e.Varint(m.Evicted)
-	e.Uvarint(uint64(len(m.Rows)))
-	for i := range m.Rows {
-		encStatRow(e, &m.Rows[i])
-	}
-	e.Uvarint(uint64(len(m.Slow)))
-	for i := range m.Slow {
-		s := &m.Slow[i]
-		e.F64(s.LatencyMS)
-		e.String(s.Endpoint)
-		e.String(s.Model)
-		e.String(s.Shape)
-		e.String(s.Proto)
-		e.String(s.TraceID)
-		e.Bool(s.Error)
-		encTime(e, s.At)
-	}
-}
-
-func (m *QueryStatsResponse) decodeFrom(d *rtmodel.Dec) error {
-	n := d.Count(rtmodel.MaxWireCount)
-	m.BucketBounds = make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		m.BucketBounds = append(m.BucketBounds, d.F64())
-	}
-	m.Digests = int(d.Uvarint())
-	m.Recorded = d.Varint()
-	m.Evicted = d.Varint()
-	n = d.Count(rtmodel.MaxWireCount)
-	m.Rows = make([]QueryStatRow, n)
-	for i := range m.Rows {
-		decStatRow(d, &m.Rows[i])
-		if d.Err() != nil {
-			return d.Err()
-		}
-	}
-	n = d.Count(rtmodel.MaxWireCount)
-	m.Slow = make([]SlowQueryJSON, n)
-	for i := range m.Slow {
-		s := &m.Slow[i]
-		s.LatencyMS = d.F64()
-		s.Endpoint = d.String()
-		s.Model = d.String()
-		s.Shape = d.String()
-		s.Proto = d.String()
-		s.TraceID = d.String()
-		s.Error = d.Bool()
-		s.At = decTime(d)
-		if d.Err() != nil {
-			return d.Err()
-		}
-	}
-	return d.Err()
+func (m *QueryStatsResponse) wire(c codec) {
+	slice(c, &m.BucketBounds, keepEmpty, codec.float64)
+	c.int(&m.Digests)
+	c.int64(&m.Recorded)
+	c.int64(&m.Evicted)
+	slice(c, &m.Rows, keepEmpty, codec.statRow)
+	slice(c, &m.Slow, keepEmpty, codec.slowQuery)
 }
 
 func (m *RefreshResponse) frame() rtmodel.FrameType { return frameRefresh }
 
-func (m *RefreshResponse) encodeTo(e *rtmodel.Enc) {
-	e.String(m.Ident)
-	e.Bool(m.Swapped)
-	e.Uvarint(m.Generation)
-	e.Bool(m.Delta)
-}
-
-func (m *RefreshResponse) decodeFrom(d *rtmodel.Dec) error {
-	m.Ident = d.String()
-	m.Swapped = d.Bool()
-	m.Generation = d.Uvarint()
-	m.Delta = d.Bool()
-	return d.Err()
+func (m *RefreshResponse) wire(c codec) {
+	c.string(&m.Ident)
+	c.bool(&m.Swapped)
+	c.uint64(&m.Generation)
+	c.bool(&m.Delta)
 }

@@ -55,7 +55,7 @@ func TestBinaryHotSwapStress(t *testing.T) {
 			return fmt.Errorf("frame type %d", ft)
 		}
 		var resp SelectResponse
-		if err := resp.decodeFrom(rtmodel.NewDec(payload)); err != nil {
+		if err := decodeWire(&resp, payload); err != nil {
 			return err
 		}
 		if resp.Count != 4 || len(resp.Elements) != 4 {
@@ -87,7 +87,7 @@ func TestBinaryHotSwapStress(t *testing.T) {
 			return fmt.Errorf("frame type %d", ft)
 		}
 		var resp SummaryResponse
-		if err := resp.decodeFrom(rtmodel.NewDec(payload)); err != nil {
+		if err := decodeWire(&resp, payload); err != nil {
 			return err
 		}
 		if resp.Cores != 4 {
@@ -176,7 +176,7 @@ func TestBinaryHotSwapStress(t *testing.T) {
 					return
 				}
 				var resp BatchResponse
-				if err := resp.decodeFrom(rtmodel.NewDec(payload)); err != nil {
+				if err := decodeWire(&resp, payload); err != nil {
 					select {
 					case errCh2 <- err:
 					default:

@@ -231,7 +231,7 @@ func (c *Client) decodeBinary(body io.Reader, path, ct string, out any, sink io.
 	if t != m.frame() {
 		return fmt.Errorf("xpdld: binary response frame type %d, want %d", t, m.frame())
 	}
-	return m.decodeFrom(rtmodel.NewDec(payload))
+	return decodeWire(m, payload)
 }
 
 // statusError decodes a non-2xx answer's error envelope in whichever
@@ -242,7 +242,7 @@ func (c *Client) statusError(resp *http.Response, path, ct string) error {
 	if ct == ContentTypeBinary {
 		if t, payload, _, err := rtmodel.DecodeEnvelope(data); err == nil && t == frameError {
 			var envelope ErrorResponse
-			if envelope.decodeFrom(rtmodel.NewDec(payload)) == nil {
+			if decodeWire(&envelope, payload) == nil {
 				msg = envelope.Error
 			}
 		}

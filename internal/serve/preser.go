@@ -190,7 +190,7 @@ func marshalIndented(v any) []byte {
 func encodeBin(m binaryMessage) []byte {
 	e := getEnc()
 	defer putEnc(e)
-	m.encodeTo(e)
+	m.wire(codec{e: e})
 	out := make([]byte, 0, rtmodel.MaxFrameHeader+len(e.Buf))
 	out = rtmodel.AppendWireHeader(out)
 	return rtmodel.AppendFrame(out, m.frame(), e.Buf)

@@ -528,7 +528,7 @@ func (s *Server) writeAPI(w http.ResponseWriter, bin bool, status int, v any) {
 // recycling the encoder safe.
 func (s *Server) writeBinary(w http.ResponseWriter, status int, m binaryMessage) {
 	e := getEnc()
-	m.encodeTo(e)
+	m.wire(codec{e: e})
 	s.writeFrame(w, status, m.frame(), e.Buf)
 	putEnc(e)
 }
