@@ -100,7 +100,7 @@ func main() {
 		allowRef    = flag.Bool("allow-refresh", true, "expose POST /v1/models/{model}/refresh")
 		watchBuffer = flag.Int("watch-buffer", 16, "per-subscriber watch event queue; slower consumers are evicted")
 		seed        = flag.Int64("seed", 1, "simulated-substrate seed for '?' calibration")
-		planCache   = flag.Int("plan-cache", 1024, "maximum cached compiled selector plans (0 disables plan caching)")
+		planCache   = flag.Int("plan-cache", 1024, "maximum cached compiled selector plans and expressions (0 disables caching)")
 		traceSample = flag.Float64("trace-sample", 0.1, "head-sampling probability for request traces (5xx always recorded; clients can force via traceparent)")
 		maxTraces   = flag.Int("max-traces", 256, "completed traces retained behind /debug/traces")
 		slowMS      = flag.Int("slow-ms", 500, "log a warn line for requests at least this slow, in milliseconds (0 disables)")

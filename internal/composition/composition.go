@@ -72,14 +72,14 @@ func (c *Component) Selectable(ctx Context) ([]*Variant, error) {
 			out = append(out, v)
 			continue
 		}
-		ok, err := expr.EvalBool(v.Selectable, env)
+		holds, err := query.EvalExpr(v.Selectable, env)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("composition: %s/%s: %w", c.Name, v.Name, err)
 			}
 			continue
 		}
-		if ok {
+		if holds.Truthy() {
 			out = append(out, v)
 		}
 	}
@@ -89,9 +89,23 @@ func (c *Component) Selectable(ctx Context) ([]*Variant, error) {
 // Select returns the selectable variant with the lowest predicted cost.
 func (c *Component) Select(ctx Context) (*Variant, error) {
 	cands, err := c.Selectable(ctx)
+	return c.Rank(ctx, cands, err)
+}
+
+// Rank returns the candidate with the lowest predicted cost, the
+// earliest on ties, evaluating each candidate's Cost once. cands and
+// selErr are one Selectable pass's answer, so a caller that needs the
+// selectable list as well evaluates each guard once:
+//
+//	cands, selErr := c.Selectable(ctx)
+//	best, err := c.Rank(ctx, cands, selErr)
+//
+// With no candidates it fails with selErr, or with a "no selectable
+// variant" error when selErr is nil.
+func (c *Component) Rank(ctx Context, cands []*Variant, selErr error) (*Variant, error) {
 	if len(cands) == 0 {
-		if err != nil {
-			return nil, err
+		if selErr != nil {
+			return nil, selErr
 		}
 		return nil, fmt.Errorf("composition: %s: no selectable variant", c.Name)
 	}

@@ -304,3 +304,53 @@ func ones(n int) []float64 {
 	}
 	return x
 }
+
+// TestRankOnePass checks that Rank over one Selectable pass picks what
+// Select picks, evaluates each candidate's cost once, keeps the
+// earliest variant on a cost tie, and reports the guard error when
+// nothing is selectable.
+func TestRankOnePass(t *testing.T) {
+	ctx := Context{Session: gpuServerSession(true, true, false), Vars: map[string]expr.Value{"n": expr.Number(100)}}
+	costCalls := map[string]int{}
+	cost := func(name string, c float64) func(Context) float64 {
+		return func(Context) float64 {
+			costCalls[name]++
+			return c
+		}
+	}
+	comp := &Component{Name: "k", Variants: []*Variant{
+		{Name: "gpu", Selectable: "num_cuda_devices() > 0 && installed('CUBLAS')", Cost: cost("gpu", 1)},
+		{Name: "broken", Selectable: "nosuch()", Cost: cost("broken", 0)},
+		{Name: "tie", Selectable: "n > 10", Cost: cost("tie", 1)},
+		{Name: "cpu", Cost: cost("cpu", 5)},
+	}}
+	cands, selErr := comp.Selectable(ctx)
+	if len(cands) != 3 || selErr == nil {
+		t.Fatalf("Selectable: %d candidates, err %v; want 3 and the broken guard's error", len(cands), selErr)
+	}
+	best, err := comp.Rank(ctx, cands, selErr)
+	if err != nil || best.Name != "gpu" {
+		t.Fatalf("Rank = %v, %v; want gpu (the earlier of the cost-1 tie)", best, err)
+	}
+	for _, name := range []string{"gpu", "tie", "cpu"} {
+		if costCalls[name] != 1 {
+			t.Errorf("cost of %s evaluated %d times, want 1", name, costCalls[name])
+		}
+	}
+	if costCalls["broken"] != 0 {
+		t.Errorf("cost of the unselectable variant evaluated %d times", costCalls["broken"])
+	}
+	if sel, err := comp.Select(ctx); err != nil || sel != best {
+		t.Fatalf("Select = %v, %v; Rank chose %v", sel, err, best)
+	}
+
+	none := &Component{Name: "k", Variants: []*Variant{{Name: "broken", Selectable: "nosuch()"}}}
+	cands, selErr = none.Selectable(ctx)
+	if _, err := none.Rank(ctx, cands, selErr); err == nil || err != selErr {
+		t.Fatalf("Rank with no candidates = %v, want the guard error %v", err, selErr)
+	}
+	empty := &Component{Name: "k", Variants: []*Variant{{Name: "off", Selectable: "false"}}}
+	if _, err := empty.Rank(ctx, nil, nil); err == nil || err.Error() != "composition: k: no selectable variant" {
+		t.Fatalf("Rank with no candidates and no error = %v", err)
+	}
+}

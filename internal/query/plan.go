@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"xpdl/internal/expr"
 	"xpdl/internal/obs"
 )
 
@@ -26,6 +27,10 @@ var (
 		"Selector segments resolved by the general tree walker.")
 	mIndexAdoptions = obs.Default().Counter("xpdl_query_index_adoptions_total",
 		"Selector indexes shared from a structurally identical predecessor snapshot.")
+	mExprCacheHits = obs.Default().Counter("xpdl_query_expr_cache_hits_total",
+		"Constraint expressions answered by a cached compiled expression.")
+	mExprCacheMisses = obs.Default().Counter("xpdl_query_expr_cache_misses_total",
+		"Constraint expressions compiled afresh.")
 )
 
 // Plan is a compiled selector: the parse and predicate analysis happen
@@ -392,51 +397,87 @@ func (s *Session) AdoptIndexes(from *Session) bool {
 
 // ---- plan cache ----
 
-// PlanCache is a concurrency-safe bounded LRU of compiled plans keyed
-// by selector text. Plans carry no model state, so one cache serves
-// every snapshot — hot swaps never invalidate it.
+// PlanCache is a concurrency-safe bounded LRU of compiled query text:
+// selector plans (Get) and constraint expressions (Expr), keyed by
+// their source. Neither carries model state, so one cache serves every
+// snapshot — hot swaps never invalidate it. Both kinds share the one
+// capacity.
 type PlanCache struct {
 	mu      sync.Mutex
 	max     int
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used; values are *Plan
+	entries map[cacheKey]*list.Element
+	lru     *list.List // front = most recently used; values are *cacheEntry
 }
 
-// NewPlanCache builds a cache bounded to max compiled plans (<= 0
-// disables caching: every Get compiles).
+// cacheKey tells a selector from an expression with the same text.
+type cacheKey struct {
+	text string
+	expr bool
+}
+
+type cacheEntry struct {
+	key cacheKey
+	val any // *Plan or expr.Node
+}
+
+// NewPlanCache builds a cache bounded to max compiled entries (<= 0
+// disables caching: every lookup compiles).
 func NewPlanCache(max int) *PlanCache {
-	return &PlanCache{max: max, entries: map[string]*list.Element{}, lru: list.New()}
+	return &PlanCache{max: max, entries: map[cacheKey]*list.Element{}, lru: list.New()}
 }
 
 // Get returns the compiled plan for a selector, compiling and caching
 // it on first use. Parse errors are returned without being cached.
 func (c *PlanCache) Get(selector string) (*Plan, error) {
+	v, err := c.lookup(cacheKey{text: selector}, mPlanCacheHits, mPlanCacheMisses, func() (any, error) {
+		return Compile(selector)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*Plan), nil
+}
+
+// Expr returns the compiled form of a constraint expression, compiling
+// and caching it on first use. Parse errors are returned without being
+// cached.
+func (c *PlanCache) Expr(src string) (expr.Node, error) {
+	v, err := c.lookup(cacheKey{text: src, expr: true}, mExprCacheHits, mExprCacheMisses, func() (any, error) {
+		return expr.Compile(src)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(expr.Node), nil
+}
+
+func (c *PlanCache) lookup(k cacheKey, hits, misses *obs.Counter, compile func() (any, error)) (any, error) {
 	c.mu.Lock()
-	if el, ok := c.entries[selector]; ok {
+	if el, ok := c.entries[k]; ok {
 		c.lru.MoveToFront(el)
-		p := el.Value.(*Plan)
+		v := el.Value.(*cacheEntry).val
 		c.mu.Unlock()
-		mPlanCacheHits.Inc()
-		return p, nil
+		hits.Inc()
+		return v, nil
 	}
 	c.mu.Unlock()
-	mPlanCacheMisses.Inc()
-	p, err := Compile(selector)
+	misses.Inc()
+	v, err := compile()
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	// A concurrent Get may have compiled the same selector; keep the
-	// resident one so repeated callers share a single Plan value.
-	if el, ok := c.entries[selector]; ok {
+	// A concurrent lookup may have compiled the same text; keep the
+	// resident value so repeated callers share it.
+	if el, ok := c.entries[k]; ok {
 		c.lru.MoveToFront(el)
-		p = el.Value.(*Plan)
+		v = el.Value.(*cacheEntry).val
 	} else if c.max > 0 {
-		c.entries[selector] = c.lru.PushFront(p)
+		c.entries[k] = c.lru.PushFront(&cacheEntry{key: k, val: v})
 		c.evictLocked()
 	}
 	c.mu.Unlock()
-	return p, nil
+	return v, nil
 }
 
 // evictLocked trims the LRU down to the capacity. Caller holds mu.
@@ -446,20 +487,19 @@ func (c *PlanCache) evictLocked() {
 		if back == nil {
 			return
 		}
-		victim := back.Value.(*Plan)
 		c.lru.Remove(back)
-		delete(c.entries, victim.selector)
+		delete(c.entries, back.Value.(*cacheEntry).key)
 	}
 }
 
-// SetCapacity rebounds the cache, evicting least-recently-used plans
+// SetCapacity rebounds the cache, evicting least-recently-used entries
 // when shrinking. A capacity <= 0 disables caching and drops every
-// resident plan.
+// resident entry.
 func (c *PlanCache) SetCapacity(max int) {
 	c.mu.Lock()
 	c.max = max
 	if max <= 0 {
-		c.entries = map[string]*list.Element{}
+		c.entries = map[cacheKey]*list.Element{}
 		c.lru.Init()
 	} else {
 		c.evictLocked()
@@ -467,18 +507,29 @@ func (c *PlanCache) SetCapacity(max int) {
 	c.mu.Unlock()
 }
 
-// Len returns the number of resident compiled plans.
+// Len returns the number of resident compiled entries.
 func (c *PlanCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
 
-// defaultPlans backs Session.Select / Elem.Select; 1024 selectors is
-// far beyond any real client mix, and the LRU bound keeps adversarial
-// selector streams (fuzzers, scrapers) from growing it without limit.
+// defaultPlans backs Session.Select / Elem.Select and EvalExpr; 1024
+// selectors and expressions is far beyond any real client mix, and the
+// LRU bound keeps adversarial streams (fuzzers, scrapers) from growing
+// it without limit.
 var defaultPlans = NewPlanCache(1024)
 
-// DefaultPlanCache returns the process-wide plan cache used by
-// Session.Select; daemons resize it via SetCapacity.
+// DefaultPlanCache returns the process-wide cache used by
+// Session.Select and EvalExpr; daemons resize it via SetCapacity.
 func DefaultPlanCache() *PlanCache { return defaultPlans }
+
+// EvalExpr is expr.Eval through the process-wide cache: a hot
+// expression is parsed once, not at every evaluation.
+func EvalExpr(src string, env expr.Env) (expr.Value, error) {
+	n, err := defaultPlans.Expr(src)
+	if err != nil {
+		return expr.Value{}, err
+	}
+	return expr.EvalNode(n, env)
+}

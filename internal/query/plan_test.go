@@ -152,6 +152,60 @@ func TestPlanCacheLRU(t *testing.T) {
 	}
 }
 
+// TestPlanCacheExpr checks the compiled-expression side of the cache:
+// a hit returns the resident node, a parse error is returned but never
+// cached, an expression and a selector with the same text are distinct
+// entries, and both kinds share the one capacity.
+func TestPlanCacheExpr(t *testing.T) {
+	c := NewPlanCache(2)
+	hits, misses := mExprCacheHits.Value(), mExprCacheMisses.Value()
+	n1, err := c.Expr("num_cores() >= 4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2, err := c.Expr("num_cores() >= 4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n1.String() != n2.String() || c.Len() != 1 {
+		t.Fatalf("repeated expression: %s / %s, Len %d", n1, n2, c.Len())
+	}
+	if mExprCacheHits.Value() != hits+1 || mExprCacheMisses.Value() != misses+1 {
+		t.Fatalf("expr cache counters: hits +%d, misses +%d; want +1, +1",
+			mExprCacheHits.Value()-hits, mExprCacheMisses.Value()-misses)
+	}
+	if _, err := c.Expr("num_cores("); err == nil {
+		t.Fatal("bad expression compiled")
+	}
+	if c.Len() != 1 {
+		t.Fatalf("parse error polluted the cache: Len = %d", c.Len())
+	}
+	// Same text as a selector: a separate entry of the other kind.
+	if _, err := c.Get("core"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Expr("core"); err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d, want the capacity 2 shared by both kinds", c.Len())
+	}
+	if _, err := c.Get("core"); err != nil {
+		t.Fatalf("selector entry answered as an expression: %v", err)
+	}
+	c.SetCapacity(0)
+	if _, err := c.Expr("1 + 1"); err != nil || c.Len() != 0 {
+		t.Fatalf("disabled cache: err %v, Len %d", err, c.Len())
+	}
+	// The process-wide cache serves EvalExpr.
+	if v, err := EvalExpr("min(2, 3) + 1", nil); err != nil || v.Num != 3 {
+		t.Fatalf("EvalExpr = %v, %v; want 3", v, err)
+	}
+	if _, err := EvalExpr("min(", nil); err == nil {
+		t.Fatal("EvalExpr compiled a bad expression")
+	}
+}
+
 func TestPlanCacheConcurrent(t *testing.T) {
 	c := NewPlanCache(8)
 	done := make(chan struct{})

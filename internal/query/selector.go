@@ -197,16 +197,15 @@ func (sg segment) apply(from Elem) []Elem {
 		}
 		out = append(out, x)
 	}
-	if sg.deep {
-		for _, c := range from.Children() {
-			c.walk(func(x Elem) bool {
-				consider(x)
+	for _, c := range from.node().Children {
+		x := Elem{s: from.s, idx: c, ok: true}
+		if sg.deep {
+			x.walk(func(y Elem) bool {
+				consider(y)
 				return true
 			})
-		}
-	} else {
-		for _, c := range from.Children() {
-			consider(c)
+		} else {
+			consider(x)
 		}
 	}
 	return out

@@ -3,10 +3,12 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
-	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"xpdl/internal/rtmodel"
@@ -28,6 +30,82 @@ type allocBudget struct {
 	// ServeSummaryBin bounds a whole binary /summary request — the
 	// pre-serialized path, so it is the floor the stack imposes.
 	ServeSummaryBin float64 `json:"serve_summary_bin"`
+	// ServeEvalBinLarge, ServeDispatchBinLarge and ServeBatchBinLarge
+	// bound whole binary /eval, /dispatch and /batch requests on
+	// XScluster, where a per-element cost cannot hide.
+	ServeEvalBinLarge     float64 `json:"serve_eval_bin_xscluster"`
+	ServeDispatchBinLarge float64 `json:"serve_dispatch_bin_xscluster"`
+	ServeBatchBinLarge    float64 `json:"serve_batch_bin_xscluster"`
+}
+
+// inProcess drives one request straight into a Server with a
+// hand-built request and a reused response writer.
+// httptest.NewRequest parses request text and httptest.ResponseRecorder
+// copies the header map at WriteHeader: about 18 allocations per
+// request that belong to the harness, not to the server. Here the
+// harness costs three (the request, its body reader and closer), so an
+// allocation count measures the server.
+type inProcess struct {
+	srv          *Server
+	method, body string
+	u            *url.URL
+	header       http.Header // shared by every request: the server only reads it
+	w            discardWriter
+}
+
+func newInProcess(srv *Server, method, target, body string, bin bool) *inProcess {
+	u, err := url.ParseRequestURI(target)
+	if err != nil {
+		panic(err)
+	}
+	h := http.Header{}
+	if body != "" {
+		h.Set("Content-Type", "application/json")
+	}
+	if bin {
+		h.Set("Accept", ContentTypeBinary)
+	}
+	return &inProcess{srv: srv, method: method, body: body, u: u, header: h, w: discardWriter{h: http.Header{}}}
+}
+
+// do serves the request once and returns the response status.
+func (c *inProcess) do() int {
+	clear(c.w.h)
+	c.w.code = 0
+	c.srv.ServeHTTP(&c.w, &http.Request{
+		Method:        c.method,
+		URL:           c.u,
+		RequestURI:    c.u.RequestURI(),
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        c.header,
+		Body:          io.NopCloser(strings.NewReader(c.body)),
+		ContentLength: int64(len(c.body)),
+		Host:          "example.com",
+		RemoteAddr:    "192.0.2.1:1234",
+	})
+	return c.w.code
+}
+
+// discardWriter is a ResponseWriter that keeps the status and drops
+// the body.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header { return w.h }
+
+func (w *discardWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+}
+
+func (w *discardWriter) Write(b []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	return len(b), nil
 }
 
 func readAllocBudget(t *testing.T) allocBudget {
@@ -74,26 +152,52 @@ func TestBinarySelectAllocBudget(t *testing.T) {
 		t.Errorf("binary select encode: %.1f allocs/op, budget %.0f", got, budget.SelectBinEncode)
 	}
 
-	// Whole-request paths, harness included.
-	request := func(target string) func() {
-		return func() {
-			req := httptest.NewRequest(http.MethodGet, target, nil)
-			req.Header.Set("Accept", ContentTypeBinary)
-			rec := httptest.NewRecorder()
-			srv.ServeHTTP(rec, req)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("GET %s: status %d", target, rec.Code)
-			}
+	// Whole-request paths through the HTTP stack.
+	sel := newInProcess(srv, http.MethodGet, "/v1/models/myriad_standalone/select?q=%2F%2Fcore", "", true)
+	checkRequestAllocs(t, sel, budget.ServeSelectBin)
+	sum := newInProcess(srv, http.MethodGet, "/v1/models/myriad_standalone/summary", "", true)
+	checkRequestAllocs(t, sum, budget.ServeSummaryBin)
+}
+
+// checkRequestAllocs fails t when one request allocates more than
+// budget objects on average.
+func checkRequestAllocs(t *testing.T, req *inProcess, budget float64) {
+	t.Helper()
+	fail := false
+	serve := func() {
+		if code := req.do(); code != http.StatusOK {
+			fail = true
 		}
 	}
-	sel := request("/v1/models/myriad_standalone/select?q=%2F%2Fcore")
-	sel()
-	if got := testing.AllocsPerRun(200, sel); got > budget.ServeSelectBin {
-		t.Errorf("binary select request: %.1f allocs/op, budget %.0f", got, budget.ServeSelectBin)
+	serve() // warm pools, caches and the header map
+	got := testing.AllocsPerRun(200, serve)
+	if fail {
+		t.Fatalf("%s %s: status %d", req.method, req.u, req.w.code)
 	}
-	sum := request("/v1/models/myriad_standalone/summary")
-	sum()
-	if got := testing.AllocsPerRun(200, sum); got > budget.ServeSummaryBin {
-		t.Errorf("binary summary request: %.1f allocs/op, budget %.0f", got, budget.ServeSummaryBin)
+	if got > budget {
+		t.Errorf("%s %s: %.1f allocs/op, budget %.0f", req.method, req.u, got, budget)
+	}
+}
+
+// TestLargeModelAllocBudget gates the binary eval, dispatch and batch
+// requests on XScluster, the largest bundled model (44k elements):
+// platform functions that walked the model per call would cost
+// thousands of allocations here, where on myriad_standalone they cost
+// tens.
+func TestLargeModelAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	budget := readAllocBudget(t)
+	srv, _ := newModelServer(t, Config{})
+	for _, c := range []struct {
+		endpoint, body string
+		budget         float64
+	}{
+		{"eval", largeEvalBody, budget.ServeEvalBinLarge},
+		{"dispatch", largeDispatchBody, budget.ServeDispatchBinLarge},
+		{"batch", largeBatchBody, budget.ServeBatchBinLarge},
+	} {
+		checkRequestAllocs(t, newInProcess(srv, http.MethodPost, "/v1/models/XScluster/"+c.endpoint, c.body, true), c.budget)
 	}
 }

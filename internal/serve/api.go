@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"xpdl/internal/expr"
@@ -318,8 +317,8 @@ func elementOf(e query.Elem) ElementJSON {
 			out.Attrs[a.Name] = attrOf(a)
 		}
 	}
-	for _, c := range e.Children() {
-		out.Children = append(out.Children, refOf(c))
+	for i := range e.NumChildren() {
+		out.Children = append(out.Children, refOf(e.Child(i)))
 	}
 	return out
 }
@@ -367,23 +366,29 @@ func toExprVars(vars map[string]any) (map[string]expr.Value, error) {
 // WriteTree renders the model tree in the exact format of `xpdlquery
 // tree`, so the local and remote command paths print identical output.
 func WriteTree(w io.Writer, root query.Elem) error {
+	var line []byte // reused for every line, so the render allocates nothing per element
 	var walk func(e query.Elem, depth int) error
 	walk = func(e query.Elem, depth int) error {
 		if !e.Valid() {
 			return nil
 		}
-		line := strings.Repeat("  ", depth) + e.Kind()
+		line = line[:0]
+		for range depth {
+			line = append(line, "  "...)
+		}
+		line = append(line, e.Kind()...)
 		if id := e.Ident(); id != "" {
-			line += " " + id
+			line = append(append(line, ' '), id...)
 		}
 		if t := e.TypeName(); t != "" {
-			line += " : " + t
+			line = append(append(line, " : "...), t...)
 		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
+		line = append(line, '\n')
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
-		for _, c := range e.Children() {
-			if err := walk(c, depth+1); err != nil {
+		for i := range e.NumChildren() {
+			if err := walk(e.Child(i), depth+1); err != nil {
 				return err
 			}
 		}

@@ -2,25 +2,12 @@ package serve
 
 import (
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 )
 
-// benchDo drives one request through the in-process mux.
+// benchDo drives one JSON request through the in-process mux.
 func benchDo(b *testing.B, srv *Server, method, target, body string) {
-	var rd *strings.Reader
-	if body != "" {
-		rd = strings.NewReader(body)
-	} else {
-		rd = strings.NewReader("")
-	}
-	req := httptest.NewRequest(method, target, rd)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		b.Fatalf("%s %s: status %d", method, target, rec.Code)
-	}
+	benchProtoDo(b, srv, method, target, body, false)
 }
 
 // BenchmarkServeSummary measures the hot path of an already-resident
@@ -64,19 +51,22 @@ func BenchmarkServeEval(b *testing.B) {
 // benchProtoDo drives one request with an optional binary-protocol
 // negotiation.
 func benchProtoDo(b *testing.B, srv *Server, method, target, body string, bin bool) {
-	req := httptest.NewRequest(method, target, strings.NewReader(body))
-	if body != "" {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if bin {
-		req.Header.Set("Accept", ContentTypeBinary)
-	}
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		b.Fatalf("%s %s: status %d", method, target, rec.Code)
+	if code := newInProcess(srv, method, target, body, bin).do(); code != http.StatusOK {
+		b.Fatalf("%s %s: status %d", method, target, code)
 	}
 }
+
+// Request bodies of the XScluster cases of BenchmarkServeBinary and
+// TestLargeModelAllocBudget.
+const (
+	largeEvalBody     = `{"expr": "num_cores() >= 4 && installed('CUDA') && total_static_power() > 0"}`
+	largeDispatchBody = `{"component": "gemm", "vars": {"n": 4096}, "variants": [
+		{"name": "cpu", "selectable": "num_cores() >= 1", "cost": "n / num_cores()"},
+		{"name": "gpu", "selectable": "num_cuda_devices() > 0", "cost": "n / (num_cuda_devices() * 400) + 2"},
+		{"name": "serial", "cost": "n"}]}`
+	largeBatchBody = `{"ops": [{"op": "select", "selector": "//cpu", "limit": 16}, {"op": "eval", "expr": "num_cores()"},
+		{"op": "eval", "expr": "has_kind('device')"}, {"op": "eval", "expr": "num_cuda_devices() * 2"}]}`
+)
 
 // BenchmarkServeBinary measures the binary protocol's serving hot
 // paths against the classic JSON ones — the numbers behind the alloc
@@ -95,15 +85,24 @@ func BenchmarkServeBinary(b *testing.B) {
 		{"element-bin", http.MethodGet, "/v1/models/myriad_standalone/element?ident=myriad_standalone", "", true},
 		{"batch-bin", http.MethodPost, "/v1/models/myriad_standalone/batch",
 			`{"ops": [{"op": "select", "selector": "//core"}, {"op": "eval", "expr": "num_cores()"}]}`, true},
+		// The platform functions on the largest bundled model: a
+		// per-element walk would cost thousands of allocations here.
+		{"eval-bin", http.MethodPost, "/v1/models/XScluster/eval", largeEvalBody, true},
+		{"dispatch-bin", http.MethodPost, "/v1/models/XScluster/dispatch", largeDispatchBody, true},
+		{"batch-xs-bin", http.MethodPost, "/v1/models/XScluster/batch", largeBatchBody, true},
 	}
 	for _, c := range cases {
-		c := c
 		b.Run(c.name, func(b *testing.B) {
-			benchProtoDo(b, srv, c.method, c.target, c.body, c.bin)
+			req := newInProcess(srv, c.method, c.target, c.body, c.bin)
+			if code := req.do(); code != http.StatusOK {
+				b.Fatalf("%s %s: status %d", c.method, c.target, code)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchProtoDo(b, srv, c.method, c.target, c.body, c.bin)
+				if code := req.do(); code != http.StatusOK {
+					b.Fatalf("%s %s: status %d", c.method, c.target, code)
+				}
 			}
 		})
 	}

@@ -7,10 +7,49 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"xpdl/internal/rtmodel"
 )
+
+// TestDecodeBoundsForgedCounts forges a 16 KiB QueryStatsResponse
+// whose row count, 16000, passes the remaining-bytes check but whose
+// first row is garbage. The decode must fail, and must allocate at
+// most 8x the payload: a count may not reserve memory for rows that
+// were never sent.
+func TestDecodeBoundsForgedCounts(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not meaningful under the race detector")
+	}
+	const payloadLen = 16 << 10
+	var e rtmodel.Enc
+	e.Uvarint(0)     // bucket bounds
+	e.Uvarint(0)     // digests
+	e.Varint(0)      // recorded
+	e.Varint(0)      // evicted
+	e.Uvarint(16000) // rows
+	for len(e.Buf) < payloadLen {
+		e.Buf = append(e.Buf, 0xff) // an overlong uvarint: the first row fails
+	}
+	payload := e.Buf
+	var best uint64
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decodeWire(new(QueryStatsResponse), payload)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, rtmodel.ErrWire) {
+			t.Fatalf("forged rows: err = %v, want an rtmodel.ErrWire error", err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; i == 0 || got < best {
+			best = got
+		}
+	}
+	if limit := uint64(8 * len(payload)); best > limit {
+		t.Fatalf("forged 16000-row frame: decode allocated %d bytes, limit %d (8x the %d-byte payload)", best, limit, len(payload))
+	}
+}
 
 // TestDecodeRejectsMalformedTime forges time fields that time.Parse
 // rejects: the decode must fail with an rtmodel.ErrWire error instead

@@ -810,7 +810,7 @@ func (s *Server) runEval(snap *Snapshot, req EvalRequest) (EvalResponse, error) 
 	if err != nil {
 		return EvalResponse{}, badRequest("%v", err)
 	}
-	v, err := expr.Eval(req.Expr, snap.Session.Env(vars))
+	v, err := query.EvalExpr(req.Expr, snap.Session.Env(vars))
 	if err != nil {
 		return EvalResponse{}, badRequest("eval: %v", err)
 	}
@@ -1048,6 +1048,7 @@ func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) (any, er
 		return nil, badRequest("%v", err)
 	}
 	ctx := composition.Context{Session: snap.Session, Vars: vars}
+	env := ctx.Env()
 	comp := &composition.Component{Name: req.Component}
 	costs := map[string]float64{}
 	for _, vj := range req.Variants {
@@ -1056,11 +1057,11 @@ func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) (any, er
 		comp.Variants = append(comp.Variants, &composition.Variant{
 			Name:       vj.Name,
 			Selectable: vj.Selectable,
-			Cost: func(ctx composition.Context) float64 {
+			Cost: func(composition.Context) float64 {
 				if costExpr == "" {
 					return 0
 				}
-				v, err := expr.Eval(costExpr, ctx.Env())
+				v, err := query.EvalExpr(costExpr, env)
 				if err != nil || v.Kind != expr.KindNumber {
 					return math.MaxFloat64
 				}
@@ -1069,8 +1070,10 @@ func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) (any, er
 			},
 		})
 	}
+	// One Selectable pass feeds both the answer's list and the ranking,
+	// so each guard and each cost is evaluated once.
 	selectable, selErr := comp.Selectable(ctx)
-	chosen, err := comp.Select(ctx)
+	chosen, err := comp.Rank(ctx, selectable, selErr)
 	if err != nil {
 		return nil, &apiError{status: http.StatusUnprocessableEntity, msg: err.Error()}
 	}

@@ -5,8 +5,9 @@ Reads `go test -bench -benchmem` output on stdin, writes every parsed
 benchmark as JSON (the BENCH_6.json artifact), and fails when the
 binary serving hot paths allocate more per operation than the
 checked-in budget in internal/serve/testdata/alloc_budget.json — the
-same ceilings TestBinarySelectAllocBudget enforces in-process, applied
-here to the benchmark numbers that land in the artifact.
+same ceilings TestBinarySelectAllocBudget and TestLargeModelAllocBudget
+enforce in-process, applied here to the benchmark numbers that land in
+the artifact.
 
 Usage:
     go test -run=NONE -bench='SelectIndexed|ServeBinary' -benchmem \
@@ -27,6 +28,9 @@ BENCH_RE = re.compile(
 GATES = {
     "BenchmarkServeBinary/select-bin": "serve_select_bin",
     "BenchmarkServeBinary/summary-bin": "serve_summary_bin",
+    "BenchmarkServeBinary/eval-bin": "serve_eval_bin_xscluster",
+    "BenchmarkServeBinary/dispatch-bin": "serve_dispatch_bin_xscluster",
+    "BenchmarkServeBinary/batch-xs-bin": "serve_batch_bin_xscluster",
 }
 
 
