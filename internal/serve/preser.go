@@ -142,17 +142,18 @@ func sameTreeShape(snap, old *Snapshot) bool {
 	return true
 }
 
-// summaryOf computes the derived-analysis roll-up of one snapshot.
+// summaryOf returns the derived-analysis roll-up of one snapshot from
+// its session's rollups.
 func summaryOf(snap *Snapshot) SummaryResponse {
-	root := snap.Session.Root()
+	t := snap.Session.Totals()
 	installed := snap.Session.InstalledList()
 	if installed == nil {
 		installed = []string{}
 	}
 	return SummaryResponse{
-		Cores:        root.NumCores(),
-		CUDADevices:  root.NumCUDADevices(),
-		StaticPowerW: root.TotalStaticPower().Value,
+		Cores:        t.Cores,
+		CUDADevices:  t.CUDADevices,
+		StaticPowerW: t.StaticPower,
 		Installed:    installed,
 	}
 }
