@@ -398,11 +398,12 @@ func TestAnalyzeMutationClasses(t *testing.T) {
 	}
 }
 
-// TestApplyPairMatchesReference pins the production patch path to the
-// reference one: ApplyPair's tree must render canonically identical to
-// Apply's, and its runtime model must equal rtmodel.Build over that
-// tree — the differential battery checks this end to end, this test
-// localizes a divergence to the pair logic.
+// TestApplyPairMatchesReference pins the production patch path
+// (ApplyRT, then SyncTree over its result, as the serving layer runs
+// them) to the reference one: the synced tree must render canonically
+// identical to Apply's, and the patched runtime model must equal
+// rtmodel.Build over that tree — the differential battery checks this
+// end to end, this test localizes a divergence to the pair logic.
 func TestApplyPairMatchesReference(t *testing.T) {
 	sys := model.New("system")
 	sys.ID = "srv"
@@ -449,18 +450,19 @@ func TestApplyPairMatchesReference(t *testing.T) {
 	refTree, _, refN := Apply(sys, "srv", plan, nil)
 	refRT := rtmodel.Build(refTree)
 
-	pairTree, pairRT, _, n, rn := ApplyPair(sys, rt, "srv", plan, nil)
+	pairRT, rn := ApplyRT(rt, "srv", plan, nil)
+	pairTree, _, n := SyncTree(sys, pairRT, "srv", plan, nil)
 	if n != refN || rn != refN {
 		t.Fatalf("patch counts: pair tree %d, pair rt %d, reference %d", n, rn, refN)
 	}
 	if Fingerprint(pairTree) != Fingerprint(refTree) {
-		t.Fatal("ApplyPair tree renders differently from Apply's")
+		t.Fatal("SyncTree tree renders differently from Apply's")
 	}
 	if !rtmodel.Equal(pairRT, refRT) {
-		t.Fatal("ApplyPair runtime model diverges from Build(Apply(...))")
+		t.Fatal("ApplyRT runtime model diverges from Build(Apply(...))")
 	}
 	if !rtmodel.Equal(rt, rtmodel.Build(sys)) {
-		t.Fatal("ApplyPair mutated its input runtime model")
+		t.Fatal("ApplyRT mutated its input runtime model")
 	}
 	if Fingerprint(sys) == Fingerprint(pairTree) {
 		t.Fatal("plan was a no-op; the comparison proves nothing")

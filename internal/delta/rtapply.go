@@ -67,34 +67,23 @@ func ApplyRT(m *rtmodel.Model, rootIdent string, plan Plan, rules []analysis.Syn
 	return nm, count
 }
 
-// ApplyPair executes a plan against both representations of a
-// snapshot at once: the runtime model goes through ApplyRT (patch +
-// runtime-level re-analysis), and the composed tree is patched
-// copy-on-write with its synthesized attributes read back from the
-// runtime result instead of re-running the tree-level analyses — the
-// runtime model is the tree's preorder flattening, so node i of the
-// runtime model is the i-th component of the tree walk, and a copied
-// component's synthesized values are exactly its runtime twin's.
-// Shared (uncopied) components keep their previous values, which are
-// bit-identical to a full re-annotation by determinism: their subtrees
-// saw no edit. This is the production patch path — Apply remains the
-// reference implementation the pair is validated against.
+// SyncTree is the tree half of the production patch path; ApplyRT is
+// the runtime half, and Apply remains the reference implementation the
+// pair is validated against. It patches the composed tree
+// copy-on-write and reads the synthesized attributes back from rtNew,
+// the already-patched runtime model, instead of re-running the
+// tree-level analyses: the runtime model is the tree's preorder
+// flattening, so node i of the runtime model is the i-th component of
+// the tree walk, and a copied component's synthesized values are
+// exactly its runtime twin's. Shared (uncopied) components keep their
+// previous values, which are bit-identical to a full re-annotation by
+// determinism: their subtrees saw no edit.
 //
-// It returns the patched tree, the patched runtime model, the patched
-// element paths, and the tree- and runtime-level patch counts; callers
-// must treat a count disagreement as a failed patch.
-func ApplyPair(system *model.Component, rt *rtmodel.Model, rootIdent string, plan Plan, rules []analysis.SynthRule) (*model.Component, *rtmodel.Model, []string, int, int) {
-	rtNew, rn := ApplyRT(rt, rootIdent, plan, rules)
-	clone, changed, n := SyncTree(system, rtNew, rootIdent, plan, rules)
-	return clone, rtNew, changed, n, rn
-}
-
-// SyncTree is ApplyPair's tree half: patch the composed tree
-// copy-on-write and read the synthesized attributes back from rtNew,
-// the already-patched runtime model. It only reads rtNew, so callers
-// may run it concurrently with other read-only consumers (hashing,
-// serialization). It returns the patched tree, the patched element
-// paths, and the patch count.
+// SyncTree only reads rtNew, so callers may run it concurrently with
+// other read-only consumers (hashing, serialization). It returns the
+// patched tree, the patched element paths, and the patch count;
+// callers must treat a count that disagrees with ApplyRT's as a failed
+// patch.
 func SyncTree(system *model.Component, rtNew *rtmodel.Model, rootIdent string, plan Plan, rules []analysis.SynthRule) (*model.Component, []string, int) {
 	if rules == nil {
 		rules = analysis.DefaultRules()

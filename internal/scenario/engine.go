@@ -99,9 +99,6 @@ type Engine struct {
 	// are identical for any worker count: workers only change
 	// completion order, never point content.
 	Workers int
-	// ForceFull disables the re-bind fast path engine-wide (the
-	// per-spec FullResolve flag does the same for one sweep).
-	ForceFull bool
 	// OnPoint, when set, receives every point result as it completes
 	// (completion order, not grid order). Calls are serialized.
 	OnPoint func(PointResult)
@@ -276,7 +273,7 @@ func (e *Engine) Run(ctx context.Context, system string, spec *Spec) (*Result, e
 // flattened meta), and every axis value numeric (string substitution
 // erases the parameter reference rebinding needs).
 func (e *Engine) fastPathEligible(spec *Spec, concrete *model.Component, rr *resolve.Resolver) bool {
-	if e.ForceFull || spec.FullResolve {
+	if spec.FullResolve {
 		return false
 	}
 	names := map[string]bool{}

@@ -161,7 +161,7 @@ func (e *pointEnv) Call(name string, args []expr.Value) (expr.Value, error) {
 		if len(args) != 2 || args[0].Kind != expr.KindString || args[1].Kind != expr.KindString {
 			return expr.Value{}, fmt.Errorf("attr(ident, attrName) wants two strings")
 		}
-		c := findComponent(e.tree, args[0].Str)
+		c := e.tree.FindByID(args[0].Str)
 		if c == nil {
 			return expr.Value{}, fmt.Errorf("attr: component %q not found", args[0].Str)
 		}
@@ -183,35 +183,9 @@ func (e *pointEnv) Call(name string, args []expr.Value) (expr.Value, error) {
 		if len(args) != 1 || args[0].Kind != expr.KindString {
 			return expr.Value{}, fmt.Errorf("count(kind) wants one string")
 		}
-		return expr.Number(float64(countKind(e.tree, args[0].Str))), nil
+		return expr.Number(float64(e.tree.CountKind(args[0].Str))), nil
 	}
 	return expr.CallBuiltin(name, args)
-}
-
-func countKind(root *model.Component, kind string) int {
-	n := 0
-	root.Walk(func(c *model.Component) bool {
-		if c.Kind == kind {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
-// findComponent locates a component by identifier (first match in
-// preorder) — the same addressing the serve layer uses for energy
-// tables and channels.
-func findComponent(root *model.Component, ident string) *model.Component {
-	var out *model.Component
-	root.Walk(func(c *model.Component) bool {
-		if out == nil && c.Ident() == ident {
-			out = c
-			return false
-		}
-		return out == nil
-	})
-	return out
 }
 
 // evalObjective computes one objective over a resolved, analyzed tree.
@@ -235,7 +209,7 @@ func evalObjective(o *ObjectiveSpec, tree *model.Component, env *pointEnv) (floa
 		}
 		return b.TotalW, nil
 	case KindAttr:
-		c := findComponent(tree, o.Component)
+		c := tree.FindByID(o.Component)
 		if c == nil {
 			return 0, fmt.Errorf("objective %s: component %q not found", o.Name, o.Component)
 		}
@@ -245,7 +219,7 @@ func evalObjective(o *ObjectiveSpec, tree *model.Component, env *pointEnv) (floa
 		}
 		return q.Value, nil
 	case KindTaskEnergy, KindTaskTime:
-		c := findComponent(tree, o.Table)
+		c := tree.FindByID(o.Table)
 		if c == nil || c.Kind != "instructions" {
 			return 0, fmt.Errorf("objective %s: instruction table %q not found", o.Name, o.Table)
 		}
@@ -284,7 +258,7 @@ func evalObjective(o *ObjectiveSpec, tree *model.Component, env *pointEnv) (floa
 		}
 		return energyJ, nil
 	case KindTransferEnergy, KindTransferTime:
-		c := findComponent(tree, o.Channel)
+		c := tree.FindByID(o.Channel)
 		if c == nil || (c.Kind != "channel" && c.Kind != "interconnect") {
 			return 0, fmt.Errorf("objective %s: channel %q not found", o.Name, o.Channel)
 		}

@@ -29,7 +29,11 @@ type allocBudget struct {
 	ServeSelectBin float64 `json:"serve_select_bin"`
 	// ServeSummaryBin bounds a whole binary /summary request — the
 	// pre-serialized path, so it is the floor the stack imposes.
-	ServeSummaryBin float64 `json:"serve_summary_bin"`
+	// ServeSummaryJSON is the same floor in the classic protocol, and
+	// ServeElementBin the other pre-serialized answer.
+	ServeSummaryBin  float64 `json:"serve_summary_bin"`
+	ServeSummaryJSON float64 `json:"serve_summary_json"`
+	ServeElementBin  float64 `json:"serve_element_bin"`
 	// ServeEvalBinLarge, ServeDispatchBinLarge and ServeBatchBinLarge
 	// bound whole binary /eval, /dispatch and /batch requests on
 	// XScluster, where a per-element cost cannot hide.
@@ -157,6 +161,10 @@ func TestBinarySelectAllocBudget(t *testing.T) {
 	checkRequestAllocs(t, sel, budget.ServeSelectBin)
 	sum := newInProcess(srv, http.MethodGet, "/v1/models/myriad_standalone/summary", "", true)
 	checkRequestAllocs(t, sum, budget.ServeSummaryBin)
+	sumJSON := newInProcess(srv, http.MethodGet, "/v1/models/myriad_standalone/summary", "", false)
+	checkRequestAllocs(t, sumJSON, budget.ServeSummaryJSON)
+	elem := newInProcess(srv, http.MethodGet, "/v1/models/myriad_standalone/element?ident=myriad_standalone", "", true)
+	checkRequestAllocs(t, elem, budget.ServeElementBin)
 }
 
 // checkRequestAllocs fails t when one request allocates more than

@@ -44,50 +44,13 @@ const (
 const ContentTypeBinary = "application/x-xpdl-bin"
 
 // binaryMessage is implemented by every wire struct that travels as a
-// binary frame: wire codes the struct's fields in wire order.
+// binary frame: wire codes the struct's fields in wire order. An
+// answer without it (the sweep submission, the job list, job status
+// and job cancel, and the watch long poll) answers JSON even to a
+// binary Accept.
 type binaryMessage interface {
 	frame() rtmodel.FrameType
 	wire(c codec)
-}
-
-// binaryMessageOf maps a handler's payload value to its binary layout;
-// ok is false for payloads that have no binary form. Those answer JSON
-// even to a binary Accept: the sweep submission, the job list, job
-// status and job cancel (and the watch long poll, written outside
-// writeAPI).
-func binaryMessageOf(v any) (binaryMessage, bool) {
-	switch t := v.(type) {
-	case SummaryResponse:
-		return &t, true
-	case SelectResponse:
-		return &t, true
-	case EvalResponse:
-		return &t, true
-	case ElementJSON:
-		return &t, true
-	case EnergyResponse:
-		return &t, true
-	case TransferResponse:
-		return &t, true
-	case DispatchResponse:
-		return &t, true
-	case BatchResponse:
-		return &t, true
-	case ModelsResponse:
-		return &t, true
-	case ModelInfo:
-		return &t, true
-	case HealthResponse:
-		return &t, true
-	case RefreshResponse:
-		return &t, true
-	case QueryStatsResponse:
-		return &t, true
-	case ErrorResponse:
-		return &t, true
-	default:
-		return nil, false
-	}
 }
 
 // ---- the codec ----

@@ -176,14 +176,20 @@ func (s *Snapshot) preElement(ident string) (*preEncoded, bool) {
 	return actual.(*preEncoded), true
 }
 
-// marshalIndented renders v exactly as Server.writeJSON does (two-space
-// indent, trailing newline), so pre-serialized JSON answers are
-// byte-identical to live ones.
-func marshalIndented(v any) []byte {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+// encodeIndented renders v as every JSON answer goes out: two-space
+// indent and the trailing newline of json.Encoder. This rendering is
+// the byte-level contract existing clients depend on.
+func encodeIndented(buf *bytes.Buffer, v any) {
+	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// marshalIndented renders v with encodeIndented, so pre-serialized
+// JSON answers are byte-identical to live ones.
+func marshalIndented(v any) []byte {
+	var buf bytes.Buffer
+	encodeIndented(&buf, v)
 	return buf.Bytes()
 }
 

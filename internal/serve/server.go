@@ -18,7 +18,6 @@ import (
 	"xpdl/internal/composition"
 	"xpdl/internal/energy"
 	"xpdl/internal/expr"
-	"xpdl/internal/model"
 	"xpdl/internal/obs"
 	"xpdl/internal/obs/qstats"
 	"xpdl/internal/query"
@@ -336,34 +335,53 @@ func notFound(format string, args ...any) error {
 	return &apiError{status: http.StatusNotFound, msg: fmt.Sprintf(format, args...)}
 }
 
-// handler is the shape of all API endpoints: return a JSON-marshalable
-// payload or an error (apiError for client errors).
-type handler func(w http.ResponseWriter, r *http.Request) (any, error)
-
-// statusWriter captures the status code a handler wrote so the
-// middleware can stamp it onto the trace and the logs, and counts
-// response bytes for the per-digest statistics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-	wrote  bool
+// request is one API request as its handler sees it: the HTTP
+// request, the response headers, the context carrying the trace and
+// the per-request timeout, and the protocol negotiated once by
+// acceptsBinary. Handlers leave in it what the statistics need: the
+// snapshot that answered and the selector's shape.
+type request struct {
+	r      *http.Request
+	ctx    context.Context
+	header http.Header
+	bin    bool
+	// rec is set when the request is recorded in the digest table;
+	// only then does a select work out its selector's shape.
+	rec   bool
+	snap  *Snapshot
+	shape selShape
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	if !w.wrote {
-		w.status = code
-		w.wrote = true
+// selShape is a selector's digest shape (qstats Key.Shape and
+// Key.ShapeHash).
+type selShape struct {
+	text string
+	hash uint64
+}
+
+// shapeOut returns where a select reports its selector's shape, nil
+// when the request is not recorded.
+func (q *request) shapeOut() *selShape {
+	if !q.rec {
+		return nil
 	}
-	w.ResponseWriter.WriteHeader(code)
+	return &q.shape
 }
 
-func (w *statusWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	n, err := w.ResponseWriter.Write(b)
-	w.bytes += int64(n)
-	return n, err
+// handler is the shape of all API endpoints behind handle: return the
+// answer or an error (apiError for client errors); send writes either.
+type handler func(q *request) (any, error)
+
+// rawBody is a byte-stream answer (text tree, JSON export) rendered
+// once per snapshot: classic clients get body as contentType, binary
+// clients the same bytes behind a frame header of type frame.
+type rawBody struct {
+	frame       rtmodel.FrameType
+	contentType string
+	body        []byte
 }
+
+const contentTypeJSON = "application/json; charset=utf-8"
 
 // startTrace extracts-or-starts the request trace. A valid incoming
 // traceparent joins the caller's trace (its sampled flag is honored
@@ -401,13 +419,15 @@ func (s *Server) finishRequest(ctx context.Context, tr *obs.Trace, r *http.Reque
 		s.traces.Add(tr.Finish(status, errMsg))
 		s.recorded.Inc()
 	}
-	durMS := float64(dur.Nanoseconds()) / 1e6
+	level, msg := obs.LevelDebug, "request"
 	if s.slow > 0 && dur >= s.slow {
-		s.logger.Warn(ctx, "slow request", "method", r.Method, "endpoint", name,
-			"path", r.URL.Path, "status", status, "duration_ms", durMS)
-	} else {
-		s.logger.Debug(ctx, "request", "method", r.Method, "endpoint", name,
-			"path", r.URL.Path, "status", status, "duration_ms", durMS)
+		level, msg = obs.LevelWarn, "slow request"
+	}
+	// Checked first so the argument list is not built (status and
+	// duration boxed) for a record the logger drops.
+	if s.logger.Enabled(level) {
+		s.logger.Log(ctx, level, msg, "method", r.Method, "endpoint", name,
+			"path", r.URL.Path, "status", status, "duration_ms", float64(dur.Nanoseconds())/1e6)
 	}
 }
 
@@ -415,7 +435,8 @@ func (s *Server) finishRequest(ctx context.Context, tr *obs.Trace, r *http.Reque
 // tracing, the concurrency limiter, the per-request timeout, status
 // counters and a per-endpoint latency histogram named
 // xpdld_<name>_seconds (whose buckets carry trace-ID exemplars in the
-// OpenMetrics exposition).
+// OpenMetrics exposition). The handler only computes its answer; send
+// writes it.
 func (s *Server) handle(pattern, name string, h handler) {
 	lat := s.reg.Histogram("xpdld_"+name+"_seconds",
 		"Latency of the "+name+" endpoint in seconds.", nil)
@@ -432,63 +453,65 @@ func (s *Server) handle(pattern, name string, h handler) {
 		// The response always names its trace so clients (and the load
 		// generator) can correlate even server-sampled requests.
 		w.Header().Set("X-Xpdl-Trace", traceID)
-		bin := acceptsBinary(r)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		ctx, cancel := context.WithTimeout(obs.ContextWithTrace(r.Context(), tr), s.timeout)
 		defer cancel()
-		var acc *reqAcc
-		if recordable && s.qstats != nil {
-			acc = getAcc()
-			defer putAcc(acc)
-			ctx = context.WithValue(ctx, accCtxKey{}, acc)
-		}
+		q := &request{r: r, ctx: ctx, header: w.Header(), bin: acceptsBinary(r),
+			rec: recordable && s.qstats != nil}
+		var (
+			ans     any
+			err     error
+			errMsg  string
+			sampled bool
+			alloc0  int64
+		)
 		select {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
+			s.inflight.Add(1)
+			defer s.inflight.Add(-1)
+			// 1-in-64 requests sample the process allocation counter
+			// around the handler and the write; the delta approximates
+			// this digest's allocs/op.
+			if sampled = q.rec && s.statsN.Add(1)&63 == 0; sampled {
+				alloc0 = qstats.AllocObjects()
+			}
+			ans, err = h(q)
+			if err = s.timedOut(err); err != nil {
+				errMsg = err.Error()
+			}
 		case <-ctx.Done():
 			s.rejected.Inc()
 			shed.Inc()
-			sw.Header().Set("Retry-After", "1")
-			s.writeErrorProto(sw, bin, &apiError{status: http.StatusServiceUnavailable,
-				msg: "server saturated; retry later"})
-			if acc != nil {
-				s.recordStats(r, name, bin, acc, sw, traceID, time.Since(start), nil, -1)
+			q.header.Set("Retry-After", "1")
+			err, errMsg = errSaturated, "server saturated"
+		}
+		status, n := s.send(w, q.bin, ans, err)
+		if q.rec {
+			allocs := int64(-1)
+			if sampled {
+				allocs = qstats.AllocObjects() - alloc0
 			}
-			s.finishRequest(ctx, tr, r, name, traceID, sw.status, "server saturated", start, lat)
-			return
+			s.recordStats(q, name, status, n, traceID, time.Since(start), ans, allocs)
 		}
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
-
-		// 1-in-64 requests sample the process allocation counter around
-		// the handler; the delta approximates this digest's allocs/op.
-		allocs := int64(-1)
-		alloc0 := int64(0)
-		sampled := acc != nil && s.statsN.Add(1)&63 == 0
-		if sampled {
-			alloc0 = qstats.AllocObjects()
-		}
-
-		payload, err := h(sw, r.WithContext(ctx))
-		var errMsg string
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				s.timeouts.Inc()
-				err = &apiError{status: http.StatusServiceUnavailable, msg: "request timed out"}
-			}
-			errMsg = err.Error()
-			s.writeErrorProto(sw, bin, err)
-		} else if payload != nil {
-			s.writeAPI(sw, bin, http.StatusOK, payload)
-		}
-		if sampled {
-			allocs = qstats.AllocObjects() - alloc0
-		}
-		if acc != nil {
-			s.recordStats(r, name, bin, acc, sw, traceID, time.Since(start), payload, allocs)
-		}
-		s.finishRequest(ctx, tr, r, name, traceID, sw.status, errMsg, start, lat)
+		s.finishRequest(ctx, tr, r, name, traceID, status, errMsg, start, lat)
 	})
+}
+
+// The wrapper's own answers: a request that never got a limiter slot,
+// and one whose handler ran past the per-request timeout.
+var (
+	errSaturated = &apiError{status: http.StatusServiceUnavailable, msg: "server saturated; retry later"}
+	errTimedOut  = &apiError{status: http.StatusServiceUnavailable, msg: "request timed out"}
+)
+
+// timedOut answers a handler error that hit the per-request deadline
+// with 503 "request timed out", counting it; other errors pass through.
+func (s *Server) timedOut(err error) error {
+	if errors.Is(err, context.DeadlineExceeded) {
+		s.timeouts.Inc()
+		return errTimedOut
+	}
+	return err
 }
 
 // acceptsBinary reports whether the request negotiated the binary
@@ -509,106 +532,97 @@ func acceptsBinary(r *http.Request) bool {
 	return false
 }
 
-// writeAPI writes a negotiated API answer: the binary envelope when
-// the client asked for one and the payload has a binary form, the
-// classic JSON rendering otherwise.
-func (s *Server) writeAPI(w http.ResponseWriter, bin bool, status int, v any) {
-	if bin {
-		if m, ok := binaryMessageOf(v); ok {
-			s.writeBinary(w, status, m)
-			return
+// send writes a handler's answer, or its error, in the negotiated
+// protocol and returns the status and the bytes written. It counts the
+// status class, the protocol and pre-serialization hits. The answer is
+// one of:
+//   - *preEncoded: a summary or element answer pre-serialized for the
+//     snapshot in both protocols, written as is;
+//   - *rawBody: a byte-stream answer rendered once per snapshot, sent
+//     bare or behind a binary frame header;
+//   - a pointer to an answer struct, encoded now: in binary when it has
+//     a wire layout and the client asked for one, in indented JSON
+//     otherwise (the sweep and job answers have no binary form).
+//
+// ResponseWriter.Write never retains its argument, which is what makes
+// recycling the encoder and the buffer safe.
+func (s *Server) send(w http.ResponseWriter, bin bool, ans any, err error) (int, int64) {
+	status := http.StatusOK
+	if err != nil {
+		status, ans = errStatus(err), &ErrorResponse{Error: err.Error()}
+	}
+	var (
+		contentType = contentTypeJSON
+		head, body  []byte // head: a binary frame header written before body
+	)
+	switch a := ans.(type) {
+	case *preEncoded:
+		mPreserHits.Inc()
+		body = a.body
+		if bin {
+			contentType, body = ContentTypeBinary, a.bin
+		}
+	case *rawBody:
+		mPreserHits.Inc()
+		contentType, body = a.contentType, a.body
+		if bin {
+			contentType, head = ContentTypeBinary, frameHeader(a.frame, len(body))
+		}
+	default:
+		if m, ok := ans.(binaryMessage); ok && bin {
+			e := getEnc()
+			defer putEnc(e)
+			m.wire(codec{e: e})
+			contentType, head, body = ContentTypeBinary, frameHeader(m.frame(), len(e.Buf)), e.Buf
+		} else {
+			buf := getBuf()
+			defer putBuf(buf)
+			encodeIndented(buf, ans)
+			body = buf.Bytes()
 		}
 	}
-	mProtoJSON.Inc()
-	s.writeJSON(w, status, v)
+	if contentType == ContentTypeBinary {
+		mProtoBin.Inc()
+	} else {
+		mProtoJSON.Inc()
+	}
+	return status, s.reply(w, status, contentType, head, body)
 }
 
-// writeBinary writes one binary envelope from a pooled encoder.
-// ResponseWriter.Write never retains its argument, which is what makes
-// recycling the encoder safe.
-func (s *Server) writeBinary(w http.ResponseWriter, status int, m binaryMessage) {
-	e := getEnc()
-	m.wire(codec{e: e})
-	s.writeFrame(w, status, m.frame(), e.Buf)
-	putEnc(e)
+// frameHeader renders the wire and frame header of an n-byte binary
+// payload, so header and payload go out as two Writes and nothing is
+// copied.
+func frameHeader(t rtmodel.FrameType, n int) []byte {
+	hdr := make([]byte, rtmodel.MaxFrameHeader)
+	k := rtmodel.PutWireHeader(hdr)
+	return hdr[:k+rtmodel.PutFrameHeader(hdr[k:], t, n)]
 }
 
-// writeFrame writes payload as one binary envelope: the stack-array
-// header and the payload go out as two Writes, so nothing is copied.
-func (s *Server) writeFrame(w http.ResponseWriter, status int, t rtmodel.FrameType, payload []byte) {
-	var hdr [rtmodel.MaxFrameHeader]byte
-	n := rtmodel.PutWireHeader(hdr[:])
-	n += rtmodel.PutFrameHeader(hdr[n:], t, len(payload))
-	mProtoBin.Inc()
+// reply writes status with its Content-Type, then head (if any) and
+// body, and returns the bytes written.
+func (s *Server) reply(w http.ResponseWriter, status int, contentType string, head, body []byte) int64 {
 	s.countStatus(status)
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	w.WriteHeader(status)
-	_, _ = w.Write(hdr[:n])
-	_, _ = w.Write(payload)
-}
-
-// writePre writes a summary or element answer pre-serialized for this
-// snapshot: one counter bump and one Write, no marshaling at all.
-func (s *Server) writePre(w http.ResponseWriter, bin bool, p *preEncoded) {
-	mPreserHits.Inc()
-	if bin {
-		s.writeReady(w, mProtoBin, ContentTypeBinary, p.bin)
-		return
-	}
-	s.writeReady(w, mProtoJSON, "application/json; charset=utf-8", p.body)
-}
-
-// writePreRaw writes a byte-stream answer (tree, JSON export) rendered
-// once per snapshot. Both protocols send the same body; binary clients
-// get it behind a frame header of type t.
-func (s *Server) writePreRaw(w http.ResponseWriter, bin bool, t rtmodel.FrameType, body []byte, classicType string) {
-	mPreserHits.Inc()
-	if bin {
-		s.writeFrame(w, http.StatusOK, t, body)
-		return
-	}
-	s.writeReady(w, mProtoJSON, classicType, body)
-}
-
-// writeReady writes a 200 answer of ready-made bytes.
-func (s *Server) writeReady(w http.ResponseWriter, proto *obs.Counter, contentType string, body []byte) {
-	proto.Inc()
-	s.countStatus(http.StatusOK)
 	w.Header().Set("Content-Type", contentType)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	w.WriteHeader(status)
+	var n int
+	if len(head) > 0 {
+		n, _ = w.Write(head)
+	}
+	m, _ := w.Write(body)
+	return int64(n + m)
 }
 
-// writeJSON renders v into a pooled buffer and writes it in one call.
-// The rendering (two-space indent, trailing Encode newline) is the
-// byte-level contract existing clients depend on; marshalIndented and
-// the pre-serialized answers reproduce it exactly.
+// writeJSON renders v into a pooled buffer and writes it in one call,
+// for the endpoints outside handle (watch, job stream, traces).
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	s.countStatus(status)
 	buf := getBuf()
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	encodeIndented(buf, v)
+	s.reply(w, status, contentTypeJSON, nil, buf.Bytes())
 	putBuf(buf)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	s.writeJSON(w, errStatus(err), ErrorResponse{Error: err.Error()})
-}
-
-// writeErrorProto writes the error envelope in the negotiated
-// protocol: binary clients get an error frame, everyone else the JSON
-// envelope.
-func (s *Server) writeErrorProto(w http.ResponseWriter, bin bool, err error) {
-	if bin {
-		s.writeBinary(w, errStatus(err), &ErrorResponse{Error: err.Error()})
-		return
-	}
-	mProtoJSON.Inc()
-	s.writeError(w, err)
 }
 
 func errStatus(err error) int {
@@ -626,86 +640,94 @@ func (s *Server) countStatus(status int) {
 }
 
 // snapshot resolves the {model} path segment into the current
-// snapshot, stamping the generation headers so clients (and the
-// hot-swap stress test) can observe which generation answered.
-func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) (*Snapshot, error) {
-	ident := r.PathValue("model")
+// snapshot and keeps it on the request, whose statistics name its
+// generation.
+func (s *Server) snapshot(q *request) (*Snapshot, error) {
+	snap, err := s.lookup(q.ctx, q.header, q.r.PathValue("model"))
+	q.snap = snap
+	return snap, err
+}
+
+// lookup returns the current snapshot of ident, stamping the
+// generation headers so clients (and the hot-swap stress test) can
+// observe which generation answered. A load that ran out of time
+// returns the context's error, which the caller answers 503; any
+// other failure is a 404.
+func (s *Server) lookup(ctx context.Context, h http.Header, ident string) (*Snapshot, error) {
 	if ident == "" {
 		return nil, badRequest("missing model identifier")
 	}
-	snap, err := s.store.Get(r.Context(), ident)
+	snap, err := s.store.Get(ctx, ident)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			return nil, err
 		}
 		return nil, notFound("model %q: %v", ident, err)
 	}
-	w.Header().Set("X-Xpdl-Generation", strconv.FormatUint(snap.Gen, 10))
-	w.Header().Set("X-Xpdl-Fingerprint", snap.Fingerprint)
+	h.Set("X-Xpdl-Generation", strconv.FormatUint(snap.Gen, 10))
+	h.Set("X-Xpdl-Fingerprint", snap.Fingerprint)
 	return snap, nil
 }
 
 // ---- endpoints ----
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) (any, error) {
-	return HealthResponse{
+func (s *Server) handleHealthz(q *request) (any, error) {
+	return &HealthResponse{
 		Status:     "ok",
 		Resident:   s.store.Resident(),
 		Generation: s.store.Generation(),
 	}, nil
 }
 
-func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) (any, error) {
+func (s *Server) handleModels(q *request) (any, error) {
 	resp := ModelsResponse{Models: []ModelInfo{}}
 	for _, ident := range s.store.Resident() {
 		if snap, ok := s.store.Peek(ident); ok {
 			resp.Models = append(resp.Models, infoOf(snap))
 		}
 	}
-	return resp, nil
+	return &resp, nil
 }
 
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) (any, error) {
-	snap, err := s.snapshot(w, r)
+func (s *Server) handleModel(q *request) (any, error) {
+	snap, err := s.snapshot(q)
 	if err != nil {
 		return nil, err
 	}
-	return infoOf(snap), nil
+	info := infoOf(snap)
+	return &info, nil
 }
 
-func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) (any, error) {
-	snap, err := s.snapshot(w, r)
+func (s *Server) handleTree(q *request) (any, error) {
+	snap, err := s.snapshot(q)
 	if err != nil {
 		return nil, err
 	}
-	s.writePreRaw(w, acceptsBinary(r), frameRawTree, snap.pre.tree, "text/plain; charset=utf-8")
-	return nil, nil
+	return &rawBody{frame: frameRawTree, contentType: "text/plain; charset=utf-8", body: snap.pre.tree}, nil
 }
 
-func (s *Server) handleJSON(w http.ResponseWriter, r *http.Request) (any, error) {
-	snap, err := s.snapshot(w, r)
+func (s *Server) handleJSON(q *request) (any, error) {
+	snap, err := s.snapshot(q)
 	if err != nil {
 		return nil, err
 	}
-	s.writePreRaw(w, acceptsBinary(r), frameRawJSON, snap.exportJSON(), "application/json; charset=utf-8")
-	return nil, nil
+	return &rawBody{frame: frameRawJSON, contentType: contentTypeJSON, body: snap.exportJSON()}, nil
 }
 
-func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) (any, error) {
-	snap, err := s.snapshot(w, r)
+func (s *Server) handleSummary(q *request) (any, error) {
+	snap, err := s.snapshot(q)
 	if err != nil {
 		return nil, err
 	}
-	s.writePre(w, acceptsBinary(r), &snap.pre.summary)
-	return nil, nil
+	return &snap.pre.summary, nil
 }
 
-func (s *Server) handleElement(w http.ResponseWriter, r *http.Request) (any, error) {
-	snap, err := s.snapshot(w, r)
+func (s *Server) handleElement(q *request) (any, error) {
+	snap, err := s.snapshot(q)
 	if err != nil {
 		return nil, err
 	}
-	ident := r.URL.Query().Get("ident")
+	ident := q.r.URL.Query().Get("ident")
 	if ident == "" {
 		return nil, badRequest("missing ?ident= query parameter")
 	}
@@ -713,8 +735,7 @@ func (s *Server) handleElement(w http.ResponseWriter, r *http.Request) (any, err
 	if !ok {
 		return nil, notFound("element %q not found in model %q", ident, snap.Ident)
 	}
-	s.writePre(w, acceptsBinary(r), pe)
-	return nil, nil
+	return pe, nil
 }
 
 // checkSelector applies the shape limits shared by the GET and POST
@@ -732,19 +753,21 @@ func checkSelector(sel string) error {
 	return nil
 }
 
-func (s *Server) runSelect(acc *reqAcc, snap *Snapshot, sel string, limit int) (SelectResponse, error) {
+// runSelect answers one selector; when shape is set it also reports
+// the selector's digest shape there.
+func (s *Server) runSelect(shape *selShape, snap *Snapshot, sel string, limit int) (SelectResponse, error) {
 	if err := checkSelector(sel); err != nil {
 		return SelectResponse{}, err
 	}
 	if limit < 0 || limit > maxSelectLimit {
 		return SelectResponse{}, badRequest("limit must be in [0, %d]", maxSelectLimit)
 	}
-	if acc != nil {
+	if shape != nil {
 		// The plan is (or is about to be) resident in the default plan
 		// cache, so digesting the selector's shape here is a cache hit,
 		// not a second parse.
-		if shape, hash, err := query.ShapeOf(sel); err == nil {
-			acc.shape, acc.shapeHash = shape, hash
+		if text, hash, err := query.ShapeOf(sel); err == nil {
+			*shape = selShape{text: text, hash: hash}
 		}
 	}
 	elems, err := snap.Session.Select(sel)
@@ -761,39 +784,39 @@ func (s *Server) runSelect(acc *reqAcc, snap *Snapshot, sel string, limit int) (
 	return resp, nil
 }
 
-func (s *Server) handleSelectGet(w http.ResponseWriter, r *http.Request) (any, error) {
-	snap, err := s.snapshot(w, r)
+func (s *Server) handleSelectGet(q *request) (any, error) {
+	snap, err := s.snapshot(q)
 	if err != nil {
 		return nil, err
 	}
 	limit := 0
-	if raw := r.URL.Query().Get("limit"); raw != "" {
+	if raw := q.r.URL.Query().Get("limit"); raw != "" {
 		limit, err = strconv.Atoi(raw)
 		if err != nil {
 			return nil, badRequest("limit: %v", err)
 		}
 	}
-	resp, err := s.runSelect(accFrom(r.Context()), snap, r.URL.Query().Get("q"), limit)
+	resp, err := s.runSelect(q.shapeOut(), snap, q.r.URL.Query().Get("q"), limit)
 	if err != nil {
 		return nil, err
 	}
-	return resp, nil
+	return &resp, nil
 }
 
-func (s *Server) handleSelectPost(w http.ResponseWriter, r *http.Request) (any, error) {
-	snap, err := s.snapshot(w, r)
+func (s *Server) handleSelectPost(q *request) (any, error) {
+	snap, err := s.snapshot(q)
 	if err != nil {
 		return nil, err
 	}
 	var req SelectRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(q.r, &req); err != nil {
 		return nil, err
 	}
-	resp, err := s.runSelect(accFrom(r.Context()), snap, req.Selector, req.Limit)
+	resp, err := s.runSelect(q.shapeOut(), snap, req.Selector, req.Limit)
 	if err != nil {
 		return nil, err
 	}
-	return resp, nil
+	return &resp, nil
 }
 
 func (s *Server) runEval(snap *Snapshot, req EvalRequest) (EvalResponse, error) {
@@ -817,20 +840,20 @@ func (s *Server) runEval(snap *Snapshot, req EvalRequest) (EvalResponse, error) 
 	return evalResponseOf(v), nil
 }
 
-func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) (any, error) {
-	snap, err := s.snapshot(w, r)
+func (s *Server) handleEval(q *request) (any, error) {
+	snap, err := s.snapshot(q)
 	if err != nil {
 		return nil, err
 	}
 	var req EvalRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(q.r, &req); err != nil {
 		return nil, err
 	}
 	resp, err := s.runEval(snap, req)
 	if err != nil {
 		return nil, err
 	}
-	return resp, nil
+	return &resp, nil
 }
 
 // handleBatch executes many select/eval operations against one
@@ -838,13 +861,13 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) (any, error)
 // path (cmd/xpdlload -batch). Per-operation failures are reported
 // in-band per result; the request itself fails only on malformed or
 // oversized envelopes, so one bad selector cannot void its siblings.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (any, error) {
-	snap, err := s.snapshot(w, r)
+func (s *Server) handleBatch(q *request) (any, error) {
+	snap, err := s.snapshot(q)
 	if err != nil {
 		return nil, err
 	}
 	var req BatchRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(q.r, &req); err != nil {
 		return nil, err
 	}
 	if len(req.Ops) == 0 {
@@ -857,17 +880,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (any, error
 	// Each sub-op is digested individually (batch.select / batch.eval)
 	// so per-query attribution survives batching; the envelope itself
 	// is recorded by the middleware under "batch".
-	bin := acceptsBinary(r)
 	for i := range req.Ops {
 		op := &req.Ops[i]
 		res := &resp.Results[i]
 		opStart := time.Now()
-		var opAcc reqAcc
+		var shape selShape
 		var rows int64
 		endpoint := "batch." + op.Op
 		switch op.Op {
 		case "select":
-			sel, err := s.runSelect(&opAcc, snap, op.Selector, op.Limit)
+			sel, err := s.runSelect(&shape, snap, op.Selector, op.Limit)
 			if err != nil {
 				res.Error = err.Error()
 			} else {
@@ -889,9 +911,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (any, error
 		s.qstats.Record(qstats.Key{
 			Endpoint:  endpoint,
 			Model:     snap.Ident,
-			Shape:     opAcc.shape,
-			ShapeHash: opAcc.shapeHash,
-			Proto:     protoName(bin),
+			Shape:     shape.text,
+			ShapeHash: shape.hash,
+			Proto:     protoName(q.bin),
 		}, qstats.Sample{
 			Latency:    time.Since(opStart),
 			Rows:       rows,
@@ -900,7 +922,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (any, error
 			Allocs:     -1,
 		})
 	}
-	return resp, nil
+	return &resp, nil
 }
 
 func evalResponseOf(v expr.Value) EvalResponse {
@@ -916,31 +938,17 @@ func evalResponseOf(v expr.Value) EvalResponse {
 	return resp
 }
 
-// findComponent locates a component by identifier in the composed
-// instance tree (energy tables, interconnect channels).
-func findComponent(sys *model.Component, ident string) *model.Component {
-	var out *model.Component
-	sys.Walk(func(c *model.Component) bool {
-		if out == nil && c.Ident() == ident {
-			out = c
-			return false
-		}
-		return out == nil
-	})
-	return out
-}
-
-func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) (any, error) {
-	snap, err := s.snapshot(w, r)
+func (s *Server) handleEnergy(q *request) (any, error) {
+	snap, err := s.snapshot(q)
 	if err != nil {
 		return nil, err
 	}
-	q := r.URL.Query()
-	tableID := q.Get("table")
+	v := q.r.URL.Query()
+	tableID := v.Get("table")
 	if tableID == "" {
 		return nil, badRequest("missing ?table= query parameter")
 	}
-	comp := findComponent(snap.System, tableID)
+	comp := snap.System.FindByID(tableID)
 	if comp == nil || comp.Kind != "instructions" {
 		return nil, notFound("instruction table %q not found in model %q", tableID, snap.Ident)
 	}
@@ -950,13 +958,13 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) (any, erro
 			msg: fmt.Sprintf("table %q: %v", tableID, err)}
 	}
 	resp := EnergyResponse{Table: tableID}
-	inst := q.Get("inst")
+	inst := v.Get("inst")
 	if inst == "" {
 		resp.Instructions = table.Names()
 		resp.Unknowns = table.Unknowns()
-		return resp, nil
+		return &resp, nil
 	}
-	ghzRaw := q.Get("ghz")
+	ghzRaw := v.Get("ghz")
 	if ghzRaw == "" {
 		return nil, badRequest("missing ?ghz= query parameter")
 	}
@@ -969,25 +977,25 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) (any, erro
 		return nil, notFound("instruction %q has no energy at %g GHz in table %q", inst, ghz, tableID)
 	}
 	resp.Inst, resp.GHz, resp.EnergyJ = inst, ghz, &e
-	return resp, nil
+	return &resp, nil
 }
 
-func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) (any, error) {
-	snap, err := s.snapshot(w, r)
+func (s *Server) handleTransfer(q *request) (any, error) {
+	snap, err := s.snapshot(q)
 	if err != nil {
 		return nil, err
 	}
-	q := r.URL.Query()
-	chID := q.Get("channel")
+	v := q.r.URL.Query()
+	chID := v.Get("channel")
 	if chID == "" {
 		return nil, badRequest("missing ?channel= query parameter")
 	}
-	comp := findComponent(snap.System, chID)
+	comp := snap.System.FindByID(chID)
 	if comp == nil || (comp.Kind != "channel" && comp.Kind != "interconnect") {
 		return nil, notFound("channel %q not found in model %q", chID, snap.Ident)
 	}
 	parseCount := func(key string, def int64) (int64, error) {
-		raw := q.Get(key)
+		raw := v.Get(key)
 		if raw == "" {
 			return def, nil
 		}
@@ -1007,7 +1015,7 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) (any, er
 	}
 	tc := energy.ChannelCost(comp)
 	timeS, energyJ := tc.Cost(bytes, messages)
-	return TransferResponse{
+	return &TransferResponse{
 		Channel:      chID,
 		BandwidthBps: tc.BandwidthBps,
 		Bytes:        bytes,
@@ -1017,13 +1025,13 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) (any, er
 	}, nil
 }
 
-func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) (any, error) {
-	snap, err := s.snapshot(w, r)
+func (s *Server) handleDispatch(q *request) (any, error) {
+	snap, err := s.snapshot(q)
 	if err != nil {
 		return nil, err
 	}
 	var req DispatchRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(q.r, &req); err != nil {
 		return nil, err
 	}
 	if len(req.Variants) == 0 {
@@ -1085,11 +1093,11 @@ func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) (any, er
 	if selErr != nil {
 		resp.Warning = selErr.Error()
 	}
-	return resp, nil
+	return &resp, nil
 }
 
-func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) (any, error) {
-	ident := r.PathValue("model")
+func (s *Server) handleRefresh(q *request) (any, error) {
+	ident := q.r.PathValue("model")
 	if ident == "" {
 		return nil, badRequest("missing model identifier")
 	}
@@ -1097,7 +1105,7 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) (any, err
 	// changed remote descriptors — the same sequence the background
 	// revalidator runs.
 	s.store.InvalidateLoader()
-	res, err := s.store.RefreshDetail(r.Context(), ident)
+	res, err := s.store.RefreshDetail(q.ctx, ident)
 	if err != nil {
 		return nil, fmt.Errorf("refresh %q: %w", ident, err)
 	}
@@ -1105,7 +1113,7 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) (any, err
 	if !ok {
 		return nil, notFound("model %q is not resident", ident)
 	}
-	return RefreshResponse{Ident: ident, Swapped: res.Swapped, Generation: snap.Gen, Delta: res.Delta}, nil
+	return &RefreshResponse{Ident: ident, Swapped: res.Swapped, Generation: snap.Gen, Delta: res.Delta}, nil
 }
 
 // ---- sweep jobs ----
@@ -1119,7 +1127,7 @@ func (s *Server) jobsOr501() (*jobManager, error) {
 	return s.jobs, nil
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) (any, error) {
+func (s *Server) handleSweep(q *request) (any, error) {
 	m, err := s.jobsOr501()
 	if err != nil {
 		return nil, err
@@ -1127,12 +1135,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) (any, error
 	// Resolve the model first so bad identifiers 404 before queueing
 	// (and the generation headers stamp which snapshot gated the check;
 	// the sweep itself resolves fresh trees from the repository).
-	snap, err := s.snapshot(w, r)
+	snap, err := s.snapshot(q)
 	if err != nil {
 		return nil, err
 	}
 	var spec scenario.Spec
-	if err := decodeJSON(r, &spec); err != nil {
+	if err := decodeJSON(q.r, &spec); err != nil {
 		return nil, err
 	}
 	j, err := m.submit(snap.Ident, &spec)
@@ -1140,40 +1148,40 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) (any, error
 		return nil, err
 	}
 	info := j.info(false)
-	return SweepAccepted{Job: info.ID, Model: info.Model, State: info.State, Total: info.Total}, nil
+	return &SweepAccepted{Job: info.ID, Model: info.Model, State: info.State, Total: info.Total}, nil
 }
 
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) (any, error) {
+func (s *Server) handleJobs(q *request) (any, error) {
 	m, err := s.jobsOr501()
 	if err != nil {
 		return nil, err
 	}
-	return JobsResponse{Jobs: m.list()}, nil
+	return &JobsResponse{Jobs: m.list()}, nil
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) (any, error) {
+func (s *Server) handleJob(q *request) (any, error) {
 	m, err := s.jobsOr501()
 	if err != nil {
 		return nil, err
 	}
-	j, ok := m.get(r.PathValue("id"))
+	j, ok := m.get(q.r.PathValue("id"))
 	if !ok {
-		return nil, notFound("job %q not found", r.PathValue("id"))
+		return nil, notFound("job %q not found", q.r.PathValue("id"))
 	}
-	withPoints := r.URL.Query().Get("points") == "1"
-	return j.info(withPoints), nil
+	info := j.info(q.r.URL.Query().Get("points") == "1")
+	return &info, nil
 }
 
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) (any, error) {
+func (s *Server) handleJobCancel(q *request) (any, error) {
 	m, err := s.jobsOr501()
 	if err != nil {
 		return nil, err
 	}
-	info, err := m.cancelJob(r.PathValue("id"))
+	info, err := m.cancelJob(q.r.PathValue("id"))
 	if err != nil {
 		return nil, err
 	}
-	return info, nil
+	return &info, nil
 }
 
 // handleJobStream follows one job's progress over SSE: history after
@@ -1205,17 +1213,14 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 // bounded long poll (?since=&wait=) otherwise.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	ident := r.PathValue("model")
-	if ident == "" {
-		s.writeError(w, badRequest("missing model identifier"))
-		return
-	}
-	// Ensure the model is resident (404s early for bad identifiers);
-	// only the load is bounded by the request timeout, not the stream.
+	// Ensure the model is resident (404s early for bad identifiers, 503s
+	// a load that runs out of time); only the load is bounded by the
+	// request timeout, not the stream.
 	loadCtx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	snap, err := s.store.Get(loadCtx, ident)
+	_, err := s.lookup(loadCtx, w.Header(), ident)
 	cancel()
 	if err != nil {
-		s.writeError(w, notFound("model %q: %v", ident, err))
+		s.writeError(w, s.timedOut(err))
 		return
 	}
 	since, err := sinceOf(r)
@@ -1223,8 +1228,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	w.Header().Set("X-Xpdl-Generation", strconv.FormatUint(snap.Gen, 10))
-	w.Header().Set("X-Xpdl-Fingerprint", snap.Fingerprint)
 	if !strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
 		s.watchPoll(w, r, ident, since)
 		return

@@ -1,49 +1,16 @@
 package serve
 
-// Per-request statement-statistics plumbing: the pooled accumulator
-// handlers use to report their selector shape, the middleware hook
-// that folds each finished request into the qstats digest table, and
-// the GET /v1/stats/queries endpoint that exposes the table.
+// Per-request statement-statistics plumbing: the middleware hook that
+// folds each finished request into the qstats digest table, and the
+// GET /v1/stats/queries endpoint that exposes the table.
 
 import (
-	"context"
-	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"xpdl/internal/obs/qstats"
 )
-
-// reqAcc carries per-request digest inputs from a handler back to the
-// middleware: the compiled selector's shape (select paths) and an
-// optional row count for endpoints whose payload does not imply one.
-// Instances are pooled; the middleware owns get/put.
-type reqAcc struct {
-	shape     string
-	shapeHash uint64
-	rows      int64
-}
-
-type accCtxKey struct{}
-
-var accPool = sync.Pool{New: func() any { return new(reqAcc) }}
-
-func getAcc() *reqAcc {
-	a := accPool.Get().(*reqAcc)
-	*a = reqAcc{}
-	return a
-}
-
-func putAcc(a *reqAcc) { accPool.Put(a) }
-
-// accFrom returns the request's accumulator, nil when stats are off
-// (or the endpoint is excluded) — callers must tolerate nil.
-func accFrom(ctx context.Context) *reqAcc {
-	a, _ := ctx.Value(accCtxKey{}).(*reqAcc)
-	return a
-}
 
 func protoName(bin bool) string {
 	if bin {
@@ -53,55 +20,45 @@ func protoName(bin bool) string {
 }
 
 // recordStats folds one finished request into the digest table. The
-// generation is read back from the X-Xpdl-Generation response header
-// (stamped by snapshot()), so stats survive hot swaps and still name
-// the generation that answered last.
-func (s *Server) recordStats(r *http.Request, name string, bin bool, acc *reqAcc,
-	sw *statusWriter, traceID string, dur time.Duration, payload any, allocs int64) {
-	rows := acc.rows
-	if rows == 0 {
-		rows = rowsOf(payload)
-	}
+// generation is the one of the snapshot the handler answered from, so
+// stats survive hot swaps and still name the generation that answered
+// last.
+func (s *Server) recordStats(q *request, name string, status int, respBytes int64,
+	traceID string, dur time.Duration, ans any, allocs int64) {
 	gen := int64(0)
-	if g := sw.Header().Get("X-Xpdl-Generation"); g != "" {
-		if v, err := strconv.ParseUint(g, 10, 63); err == nil {
-			gen = int64(v)
-		}
-	}
-	reqBytes := r.ContentLength
-	if reqBytes < 0 {
-		reqBytes = 0
+	if q.snap != nil {
+		gen = int64(q.snap.Gen)
 	}
 	s.qstats.Record(qstats.Key{
 		Endpoint:  name,
-		Model:     r.PathValue("model"),
-		Shape:     acc.shape,
-		ShapeHash: acc.shapeHash,
-		Proto:     protoName(bin),
+		Model:     q.r.PathValue("model"),
+		Shape:     q.shape.text,
+		ShapeHash: q.shape.hash,
+		Proto:     protoName(q.bin),
 	}, qstats.Sample{
 		Latency:    dur,
-		Rows:       rows,
-		ReqBytes:   reqBytes,
-		RespBytes:  sw.bytes,
-		Err:        sw.status >= 400,
+		Rows:       rowsOf(ans),
+		ReqBytes:   max(q.r.ContentLength, 0),
+		RespBytes:  respBytes,
+		Err:        status >= 400,
 		Generation: gen,
 		TraceID:    traceID,
 		Allocs:     allocs,
 	})
 }
 
-// rowsOf derives the "rows returned" figure from a handler payload.
-func rowsOf(payload any) int64 {
-	switch p := payload.(type) {
-	case SelectResponse:
+// rowsOf derives the "rows returned" figure from a handler answer.
+func rowsOf(ans any) int64 {
+	switch p := ans.(type) {
+	case *SelectResponse:
 		return int64(p.Count)
-	case EvalResponse:
+	case *EvalResponse:
 		return 1
-	case BatchResponse:
+	case *BatchResponse:
 		return int64(len(p.Results))
-	case ModelsResponse:
+	case *ModelsResponse:
 		return int64(len(p.Models))
-	case JobsResponse:
+	case *JobsResponse:
 		return int64(len(p.Jobs))
 	}
 	return 0
@@ -124,12 +81,12 @@ var statSortKeys = map[string]func(a, b *QueryStatRow) bool{
 // limitable (?limit=) and filterable by model (?model=). The endpoint
 // itself is excluded from recording, so polling it never perturbs
 // what it measures.
-func (s *Server) handleQueryStats(w http.ResponseWriter, r *http.Request) (any, error) {
+func (s *Server) handleQueryStats(q *request) (any, error) {
 	if s.qstats == nil {
 		return nil, notFound("query statistics disabled (Config.QueryStatsOff)")
 	}
-	q := r.URL.Query()
-	sortKey := q.Get("sort")
+	v := q.r.URL.Query()
+	sortKey := v.Get("sort")
 	if sortKey == "" {
 		sortKey = "calls"
 	}
@@ -138,14 +95,14 @@ func (s *Server) handleQueryStats(w http.ResponseWriter, r *http.Request) (any, 
 		return nil, badRequest("unknown sort %q (want calls, latency, p99, bytes, errors, rows or recent)", sortKey)
 	}
 	limit := 0
-	if raw := q.Get("limit"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 {
+	if raw := v.Get("limit"); raw != "" {
+		n, err := strconv.Atoi(raw)
+		if err != nil || n < 0 {
 			return nil, badRequest("limit must be a non-negative integer")
 		}
-		limit = v
+		limit = n
 	}
-	model := q.Get("model")
+	model := v.Get("model")
 
 	rows := s.qstats.Rows()
 	out := make([]QueryStatRow, 0, len(rows))
@@ -199,7 +156,7 @@ func (s *Server) handleQueryStats(w http.ResponseWriter, r *http.Request) (any, 
 			At:        time.Unix(0, e.AtNS).UTC(),
 		})
 	}
-	return resp, nil
+	return &resp, nil
 }
 
 func statRowOf(r *qstats.Row) QueryStatRow {

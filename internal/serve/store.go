@@ -104,14 +104,33 @@ func (st *Store) CloseWatchers() { st.hub.close() }
 // refresh observes upstream descriptor changes.
 func (st *Store) InvalidateLoader() { st.loader.Invalidate() }
 
-// publish emits one generation-change event for a just-published
-// snapshot.
-func (st *Store) publish(snap *Snapshot, isDelta bool, changed []string) {
+// install publishes snap as the entry's new generation: it takes a
+// generation number, readies the snapshot (patched against old on the
+// delta path, whose pre-serialized answers it reuses), stores the
+// pointer, counts the load (old nil) or swap, and emits the watch
+// event.
+func (st *Store) install(e *entry, snap, old *Snapshot, patched bool, changed []string) {
+	snap.Gen = st.gen.Add(1)
+	if patched {
+		preparePatched(snap, old)
+	} else {
+		prepare(snap)
+	}
+	e.snap.Store(snap)
+	switch {
+	case old == nil:
+		mStoreLoads.Inc()
+	case patched:
+		mStoreSwaps.Inc()
+		mDeltaPatched.Inc()
+	default:
+		mStoreSwaps.Inc()
+	}
 	st.hub.publish(WatchEvent{
 		Model:       snap.Ident,
 		Generation:  snap.Gen,
 		Fingerprint: snap.Fingerprint,
-		Delta:       isDelta,
+		Delta:       patched,
 		Changed:     changed,
 		UnixNano:    snap.LoadedAt.UnixNano(),
 	})
@@ -158,7 +177,6 @@ func (st *Store) Get(ctx context.Context, ident string) (*Snapshot, error) {
 	if e != nil {
 		if snap := e.snap.Load(); snap != nil {
 			mStoreHits.Inc()
-			obs.SpanFromContext(ctx).Event("store hit: %s gen %d", ident, snap.Gen)
 			st.touch(e)
 			return snap, nil
 		}
@@ -196,11 +214,7 @@ func (st *Store) loadSlow(ctx context.Context, ident string) (*Snapshot, error) 
 		st.dropIfEmpty(e)
 		return nil, err
 	}
-	snap.Gen = st.gen.Add(1)
-	prepare(snap)
-	e.snap.Store(snap)
-	mStoreLoads.Inc()
-	st.publish(snap, false, nil)
+	st.install(e, snap, nil, false, nil)
 	st.touch(e)
 	st.evictOver(e)
 	return snap, nil
@@ -257,32 +271,18 @@ func (st *Store) RefreshDetail(ctx context.Context, ident string) (RefreshResult
 	if old == nil {
 		return RefreshResult{}, nil // evicted or never published
 	}
+	// A plain Loader's refresh is a full resolve: the same verdict a
+	// DeltaLoader returns when it falls back.
+	var res *DeltaResult
+	var err error
 	if dl, ok := st.loader.(DeltaLoader); ok {
-		return st.refreshDelta(ctx, sp, dl, e, old)
+		res, err = dl.LoadDelta(ctx, old)
+	} else {
+		var snap *Snapshot
+		if snap, err = st.loader.Load(ctx, ident); err == nil {
+			res = &DeltaResult{Outcome: DeltaFull, Snap: snap}
+		}
 	}
-	snap, err := st.loader.Load(ctx, ident)
-	if err != nil {
-		mStoreErrors.Inc()
-		return RefreshResult{}, err
-	}
-	if snap.Fingerprint == old.Fingerprint {
-		mStoreUnchanged.Inc()
-		sp.Event("fingerprint unchanged; keeping gen %d", old.Gen)
-		return RefreshResult{Unchanged: true, Gen: old.Gen}, nil
-	}
-	snap.Gen = st.gen.Add(1)
-	prepare(snap)
-	e.snap.Store(snap)
-	mStoreSwaps.Inc()
-	changed := changedSummary(old, snap)
-	st.publish(snap, false, changed)
-	return RefreshResult{Swapped: true, Gen: snap.Gen, Changed: changed}, nil
-}
-
-// refreshDelta handles the DeltaLoader refresh path; the caller holds
-// e.loadMu.
-func (st *Store) refreshDelta(ctx context.Context, sp *obs.Span, dl DeltaLoader, e *entry, old *Snapshot) (RefreshResult, error) {
-	res, err := dl.LoadDelta(ctx, old)
 	if err != nil {
 		mStoreErrors.Inc()
 		return RefreshResult{}, err
@@ -296,29 +296,21 @@ func (st *Store) refreshDelta(ctx context.Context, sp *obs.Span, dl DeltaLoader,
 		sp.Event("delta: unchanged; keeping gen %d", old.Gen)
 		return RefreshResult{Unchanged: true, Gen: old.Gen}, nil
 	case DeltaPatched:
-		snap := res.Snap
-		snap.Gen = st.gen.Add(1)
-		preparePatched(snap, old)
-		e.snap.Store(snap)
-		mStoreSwaps.Inc()
-		mDeltaPatched.Inc()
-		sp.Event("delta: patched to gen %d (%d descriptors)", snap.Gen, len(res.Changed))
-		st.publish(snap, true, res.Changed)
-		return RefreshResult{Swapped: true, Delta: true, Gen: snap.Gen, Changed: res.Changed}, nil
+		st.install(e, res.Snap, old, true, res.Changed)
+		sp.Event("delta: patched to gen %d (%d descriptors)", res.Snap.Gen, len(res.Changed))
+		return RefreshResult{Swapped: true, Delta: true, Gen: res.Snap.Gen, Changed: res.Changed}, nil
 	default: // DeltaFull
-		deltaFallbacks(res.Reason).Inc()
+		if res.Reason != "" {
+			deltaFallbacks(res.Reason).Inc()
+		}
 		snap := res.Snap
 		if snap.Fingerprint == old.Fingerprint {
 			mStoreUnchanged.Inc()
 			sp.Event("fingerprint unchanged; keeping gen %d", old.Gen)
 			return RefreshResult{Unchanged: true, Reason: res.Reason, Gen: old.Gen}, nil
 		}
-		snap.Gen = st.gen.Add(1)
-		prepare(snap)
-		e.snap.Store(snap)
-		mStoreSwaps.Inc()
 		changed := changedSummary(old, snap)
-		st.publish(snap, false, changed)
+		st.install(e, snap, old, false, changed)
 		return RefreshResult{Swapped: true, Reason: res.Reason, Gen: snap.Gen, Changed: changed}, nil
 	}
 }

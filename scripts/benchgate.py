@@ -28,6 +28,8 @@ BENCH_RE = re.compile(
 GATES = {
     "BenchmarkServeBinary/select-bin": "serve_select_bin",
     "BenchmarkServeBinary/summary-bin": "serve_summary_bin",
+    "BenchmarkServeBinary/summary-json": "serve_summary_json",
+    "BenchmarkServeBinary/element-bin": "serve_element_bin",
     "BenchmarkServeBinary/eval-bin": "serve_eval_bin_xscluster",
     "BenchmarkServeBinary/dispatch-bin": "serve_dispatch_bin_xscluster",
     "BenchmarkServeBinary/batch-xs-bin": "serve_batch_bin_xscluster",
