@@ -20,7 +20,8 @@ import (
 //
 // Callers must own the model's Nodes slice (the node structs are
 // mutated); the per-node Attrs slices may still be shared with a
-// predecessor model — setQuantityRT reallocates before every write.
+// predecessor model, as they are after rtmodel.Model.Fork —
+// setQuantityRT gives a node a new Attrs slice at every write.
 
 // AnnotateRT applies the rules bottom-up over the runtime model,
 // mirroring Annotate over the composed tree. It returns the number of
@@ -189,9 +190,10 @@ func rtAttrRaw(n *rtmodel.Node, name string) string {
 // setQuantityRT stores a synthesized quantity on a runtime node the
 // way Component.SetQuantity followed by rtmodel.Build would: Raw is
 // the %g rendering, no unit, FlagHasValue set, and the attribute slot
-// keeps the name-sorted order Build produces. The Attrs slice is
-// always reallocated — patched models share attr backing arrays with
-// their predecessor snapshot, so writing in place is forbidden.
+// keeps the name-sorted order Build produces. The node gets a new
+// Attrs slice; the old one is never written through, because a
+// patched model (rtmodel.Model.Fork) shares its Attrs with the
+// predecessor snapshot, and a write in place would change that too.
 func setQuantityRT(n *rtmodel.Node, name string, q units.Quantity) {
 	a := rtmodel.Attr{
 		Name:  name,

@@ -19,6 +19,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Pos is a position within a source file.
@@ -360,14 +361,39 @@ func writeXML(w io.Writer, e *Element, depth int) error {
 	return err
 }
 
-func escapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
+// The escapers write \r as a character reference, since a parser turns
+// a literal one into \n, and are built once: a Replacer costs more to
+// build than to run over one attribute.
+var (
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "\r", "&#xD;")
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\r", "&#xD;")
+)
+
+func escapeAttr(s string) string { return attrEscaper.Replace(legalChars(s)) }
+
+func escapeText(s string) string { return textEscaper.Replace(legalChars(s)) }
+
+// legalChars replaces every rune XML 1.0 forbids, and every byte that
+// is not UTF-8, with U+FFFD, as encoding/xml.EscapeText does; Parse
+// rejects both. It returns s itself when there is nothing to replace.
+func legalChars(s string) string {
+	if utf8.ValidString(s) && strings.IndexFunc(s, illegalChar) < 0 {
+		return s
+	}
+	return strings.Map(func(r rune) rune {
+		if illegalChar(r) {
+			return utf8.RuneError
+		}
+		return r
+	}, s)
 }
 
-func escapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
+// illegalChar reports whether r lies outside XML 1.0's Char production.
+func illegalChar(r rune) bool {
+	return !(r == '\t' || r == '\n' || r == '\r' ||
+		r >= 0x20 && r <= 0xD7FF ||
+		r >= 0xE000 && r <= 0xFFFD ||
+		r >= 0x10000 && r <= 0x10FFFF)
 }
 
 // ToString renders the tree to a string; convenience for tests.

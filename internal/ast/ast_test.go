@@ -182,6 +182,37 @@ func TestEscaping(t *testing.T) {
 	}
 }
 
+// TestEscapingOutsideChars pins the characters a parser would reject or
+// change: a forbidden rune is written as U+FFFD, and \r as a character
+// reference so it does not come back as \n. Each case must reparse to
+// want, in an attribute and in text, and serialize again to the same
+// bytes.
+func TestEscapingOutsideChars(t *testing.T) {
+	for _, c := range []struct{ name, in, want string }{
+		{"control", "a\x10b", "a\uFFFDb"},
+		{"carriage return", "a\rb", "a\rb"},
+		{"noncharacter", "a\uFFFEb", "a\uFFFDb"},
+		{"not utf-8", "a\xffb", "a\uFFFDb"},
+	} {
+		e := &Element{Name: "p", Attrs: []Attr{{Name: "v", Value: c.in}}, Text: c.in}
+		out := ToString(e)
+		again, err := Parse("esc.xpdl", []byte(out))
+		if err != nil {
+			t.Errorf("%s: reparse: %v\n%q", c.name, err, out)
+			continue
+		}
+		if v, _ := again.Attr("v"); v != c.want {
+			t.Errorf("%s: attr came back %q, want %q", c.name, v, c.want)
+		}
+		if again.Text != c.want {
+			t.Errorf("%s: text came back %q, want %q", c.name, again.Text, c.want)
+		}
+		if back := ToString(again); back != out {
+			t.Errorf("%s: second serialization %q, first %q", c.name, back, out)
+		}
+	}
+}
+
 func TestNamespaceDeclsSkipped(t *testing.T) {
 	e := mustParse(t, `<a xmlns:x="http://e" x:b="1" c="2"/>`)
 	if e.HasAttr("xmlns") {

@@ -19,19 +19,20 @@ import (
 // fingerprints come from the runtime model, and rebuilding it from
 // the tree costs more than the whole rest of the patch path.
 //
-// The input model is not mutated: the Nodes slice is copied, and every
-// attribute write reallocates that node's Attrs slice first (the node
-// structs still share Attrs backing arrays with the input). It returns
-// the patched model and the patch-application count, which callers
-// should cross-check against Apply's — a mismatch means the two levels
-// disagreed and the full pipeline must decide.
+// The input model is not mutated: the patch runs on m.Fork(), which
+// copies the Nodes slice, shares every node's Attrs with m and keeps
+// m's identifier index (a patch changes no Kind, Name or ID). Since m
+// still reads the shared Attrs, the first write to a node replaces its
+// Attrs with a private copy; writing through the shared slice would
+// change m. It returns the patched model and the patch-application
+// count, which callers should cross-check against Apply's — a mismatch
+// means the two levels disagreed and the full pipeline must decide.
 func ApplyRT(m *rtmodel.Model, rootIdent string, plan Plan, rules []analysis.SynthRule) (*rtmodel.Model, int) {
 	if rules == nil {
 		rules = analysis.DefaultRules()
 	}
-	nodes := make([]rtmodel.Node, len(m.Nodes))
-	copy(nodes, m.Nodes)
-	nm := &rtmodel.Model{Nodes: nodes}
+	nm := m.Fork()
+	nodes := nm.Nodes
 	count := 0
 	for i := range nodes {
 		n := &nodes[i]

@@ -343,7 +343,7 @@ func (r *Resolver) expandChild(ch *model.Component, sc *scope, depth int) ([]*mo
 		base := memberBaseName(ch)
 		mkMember := func(i int) *model.Component {
 			member := model.New("group")
-			member.ID = fmt.Sprintf("%s%d", base, i)
+			member.ID = base + strconv.Itoa(i)
 			member.Pos = ch.Pos
 			for _, gc := range ch.Children {
 				member.Children = append(member.Children, gc.Clone())

@@ -16,7 +16,7 @@ import (
 	"math"
 	"os"
 	"slices"
-	"sort"
+	"strings"
 
 	"xpdl/internal/model"
 	"xpdl/internal/units"
@@ -165,45 +165,85 @@ func (m *Model) IndexOf(n *Node) int32 {
 }
 
 // Build converts a composed component tree into the runtime
-// representation.
+// representation, in two walks over the tree: the first counts nodes,
+// attributes and child edges, the second fills one Nodes array, one
+// attribute slab and one child-index slab, each sized exactly.
+//
+// Every node's Attrs and Children is a capped subslice of its slab
+// (slab[lo:hi:hi]), so len equals cap: an append to one node's slice
+// reallocates and can never write into its neighbour's entries. Writing
+// into a slice element in place still writes into the shared slab;
+// code that patches a model whose slabs other models share (see Fork)
+// must replace the node's slice, not write through it. Attributes are
+// sorted by name; nodes with none keep nil slices.
 func Build(root *model.Component) *Model {
-	m := &Model{}
-	var rec func(c *model.Component, parent int32) int32
-	rec = func(c *model.Component, parent int32) int32 {
-		idx := int32(len(m.Nodes))
-		n := Node{
-			Kind: c.Kind, Name: c.Name, ID: c.ID, Type: c.Type,
-			Parent: parent,
-		}
-		names := make([]string, 0, len(c.Attrs))
-		for k := range c.Attrs {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		for _, k := range names {
-			n.Attrs = append(n.Attrs, AttrOf(k, c.Attrs[k]))
-		}
-		for _, p := range c.Properties {
-			rp := Prop{Name: p.Name}
-			keys := make([]string, 0, len(p.Attrs))
-			for k := range p.Attrs {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				rp.KVs = append(rp.KVs, [2]string{k, p.Attrs[k]})
-			}
-			n.Props = append(n.Props, rp)
-		}
-		m.Nodes = append(m.Nodes, n)
-		for _, ch := range c.Children {
-			ci := rec(ch, idx)
-			m.Nodes[idx].Children = append(m.Nodes[idx].Children, ci)
-		}
-		return idx
+	nodes, attrs, kids := count(root)
+	b := builder{nodes: make([]Node, nodes), attrs: make([]Attr, attrs), kids: make([]int32, kids)}
+	b.fill(root, -1)
+	return &Model{Nodes: b.nodes}
+}
+
+// count returns the number of nodes, attributes and child edges in c's
+// subtree.
+func count(c *model.Component) (nodes, attrs, kids int) {
+	nodes, attrs, kids = 1, len(c.Attrs), len(c.Children)
+	for _, ch := range c.Children {
+		n, a, k := count(ch)
+		nodes, attrs, kids = nodes+n, attrs+a, kids+k
 	}
-	rec(root, -1)
-	return m
+	return nodes, attrs, kids
+}
+
+// builder carries Build's second walk: the node array, the index of the
+// next node to fill, and the unfilled tails of the two slabs.
+type builder struct {
+	nodes []Node
+	next  int32
+	attrs []Attr
+	kids  []int32
+}
+
+// fill writes c's subtree in preorder from the next free node on and
+// returns c's index.
+func (b *builder) fill(c *model.Component, parent int32) int32 {
+	idx := b.next
+	b.next++
+	n := &b.nodes[idx]
+	*n = Node{Kind: c.Kind, Name: c.Name, ID: c.ID, Type: c.Type, Parent: parent}
+	if k := len(c.Attrs); k > 0 {
+		n.Attrs, b.attrs = b.attrs[:k:k], b.attrs[k:]
+		i := 0
+		for name, a := range c.Attrs {
+			n.Attrs[i] = AttrOf(name, a)
+			i++
+		}
+		slices.SortFunc(n.Attrs, func(x, y Attr) int { return strings.Compare(x.Name, y.Name) })
+	}
+	for _, p := range c.Properties {
+		rp := Prop{Name: p.Name}
+		for k, v := range p.Attrs {
+			rp.KVs = append(rp.KVs, [2]string{k, v})
+		}
+		slices.SortFunc(rp.KVs, func(x, y [2]string) int { return strings.Compare(x[0], y[0]) })
+		n.Props = append(n.Props, rp)
+	}
+	if k := len(c.Children); k > 0 {
+		n.Children, b.kids = b.kids[:k:k], b.kids[k:]
+		for i, ch := range c.Children {
+			n.Children[i] = b.fill(ch, idx)
+		}
+	}
+	return idx
+}
+
+// Fork returns a copy of m for an attribute patch: it owns its Nodes
+// slice but shares every node's Attrs, Props and Children with m, and
+// keeps m's identifier index. A patch may give a node new Attrs by
+// replacing the slice, never by writing through it (m still reads the
+// shared entries), and must not change any node's Kind, Name or ID,
+// which the index rests on, or the tree's shape.
+func (m *Model) Fork() *Model {
+	return &Model{Nodes: slices.Clone(m.Nodes), index: m.index}
 }
 
 // AttrOf converts a descriptor attribute to its runtime form.

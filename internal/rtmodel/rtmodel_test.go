@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -194,6 +195,27 @@ func TestIndexOf(t *testing.T) {
 	other := &Node{}
 	if m.IndexOf(other) != -1 {
 		t.Fatal("foreign node should be -1")
+	}
+}
+
+// TestForkKeepsIndex checks that a fork owns its node slice but keeps
+// the predecessor's identifier index instead of building its own.
+func TestForkKeepsIndex(t *testing.T) {
+	m := Build(sample())
+	m.Lookup("")
+	f := m.Fork()
+	if &f.Nodes[0] == &m.Nodes[0] || !Equal(f, m) {
+		t.Fatal("fork shares the node slice or differs in content")
+	}
+	if reflect.ValueOf(f.index).UnsafePointer() != reflect.ValueOf(m.index).UnsafePointer() {
+		t.Fatal("fork does not keep the predecessor's index")
+	}
+	f.Nodes[1].Attrs = nil
+	if i, ok := f.LookupIndex("cpu0"); !ok || f.Node(i).ID != "cpu0" {
+		t.Fatalf("fork LookupIndex(cpu0) = %d, %v", i, ok)
+	}
+	if Equal(f, m) {
+		t.Fatal("replacing a fork's node changed its predecessor")
 	}
 }
 
