@@ -49,9 +49,6 @@ type Options struct {
 	KeepUnknown bool
 	// PrefetchWorkers bounds the concurrency of repository prefetching.
 	PrefetchWorkers int
-	// ResolveWorkers > 1 expands large homogeneous groups (cluster
-	// nodes, SM arrays) concurrently during composition.
-	ResolveWorkers int
 	// Rules are the synthesized-attribute rules; nil selects
 	// analysis.DefaultRules.
 	Rules []analysis.SynthRule
@@ -162,11 +159,7 @@ func (t *Toolchain) ProcessContext(ctx context.Context, systemID string) (*Resul
 	}
 
 	sp = proc.Start("resolve")
-	res := resolve.New(t.Repo)
-	if t.Opts.ResolveWorkers > 1 {
-		res.Workers = t.Opts.ResolveWorkers
-	}
-	system, err := res.ResolveSystem(systemID)
+	system, err := resolve.New(t.Repo).ResolveSystem(systemID)
 	sp.Stop()
 	if err != nil {
 		return nil, err

@@ -13,6 +13,8 @@ package model
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"xpdl/internal/ast"
@@ -249,51 +251,80 @@ func (c *Component) CountKind(kind string) int {
 	return n
 }
 
-// Clone returns a deep copy of the component subtree.
+// Clone returns a deep copy of the component subtree. The copied
+// components live in one slab and their child pointers in another, so a
+// copy costs two allocations plus the per-node attribute, parameter and
+// property storage. Each node's Children is a capped subslice of the
+// child slab, so appending to one node's children reallocates rather
+// than overwriting a neighbour's.
+//
+// Nil-ness of every slice and map is preserved exactly, so a clone is
+// reflect.DeepEqual to its original and serializes identically — sweep
+// differential tests compare rebound clones against freshly resolved
+// trees byte for byte.
 func (c *Component) Clone() *Component {
-	cp := &Component{
-		Kind: c.Kind, Name: c.Name, ID: c.ID, Type: c.Type,
-		Prefix: c.Prefix, Quantity: c.Quantity, Pos: c.Pos,
+	nodes, edges := c.size()
+	cl := cloner{nodes: make([]Component, nodes), kids: make([]*Component, edges)}
+	return cl.clone(c)
+}
+
+// size counts the subtree's components and child edges.
+func (c *Component) size() (nodes, edges int) {
+	nodes, edges = 1, len(c.Children)
+	for _, ch := range c.Children {
+		n, e := ch.size()
+		nodes += n
+		edges += e
 	}
-	// Nil-ness of every slice and map is preserved exactly so a clone
-	// serializes identically to its original — sweep differential tests
-	// compare rebound clones against freshly resolved trees byte for
-	// byte.
-	cp.Extends = append([]string(nil), c.Extends...)
-	if c.Attrs != nil {
-		cp.Attrs = make(map[string]Attr, len(c.Attrs))
-		for k, v := range c.Attrs {
-			cp.Attrs[k] = v
-		}
+	return nodes, edges
+}
+
+// cloner hands out the unused tails of a Clone's two slabs.
+type cloner struct {
+	nodes []Component
+	kids  []*Component
+}
+
+func (cl *cloner) clone(c *Component) *Component {
+	cp := &cl.nodes[0]
+	cl.nodes = cl.nodes[1:]
+	*cp = Component{
+		Kind: c.Kind, Name: c.Name, ID: c.ID, Type: c.Type,
+		Extends: slices.Clone(c.Extends),
+		Prefix:  c.Prefix, Quantity: c.Quantity,
+		Attrs:       maps.Clone(c.Attrs),
+		Constraints: slices.Clone(c.Constraints),
+		Pos:         c.Pos,
 	}
 	if c.Params != nil {
-		cp.Params = make([]*Param, 0, len(c.Params))
-		for _, p := range c.Params {
+		cp.Params = make([]*Param, len(c.Params))
+		for i, p := range c.Params {
 			q := *p
-			q.Range = append([]string(nil), p.Range...)
-			cp.Params = append(cp.Params, &q)
+			q.Range = slices.Clone(p.Range)
+			cp.Params[i] = &q
 		}
 	}
 	if c.Consts != nil {
-		cp.Consts = make([]*Const, 0, len(c.Consts))
-		for _, k := range c.Consts {
+		cp.Consts = make([]*Const, len(c.Consts))
+		for i, k := range c.Consts {
 			q := *k
-			cp.Consts = append(cp.Consts, &q)
+			cp.Consts[i] = &q
 		}
 	}
-	cp.Constraints = append([]Constraint(nil), c.Constraints...)
-	for _, pr := range c.Properties {
-		attrs := make(map[string]string, len(pr.Attrs))
-		for k, v := range pr.Attrs {
-			attrs[k] = v
+	if c.Properties != nil {
+		cp.Properties = make([]Property, len(c.Properties))
+		for i, pr := range c.Properties {
+			cp.Properties[i] = Property{Name: pr.Name, Attrs: maps.Clone(pr.Attrs), Pos: pr.Pos}
 		}
-		cp.Properties = append(cp.Properties, Property{Name: pr.Name, Attrs: attrs, Pos: pr.Pos})
 	}
 	if c.Children != nil {
-		cp.Children = make([]*Component, len(c.Children))
+		n := len(c.Children)
+		kids := cl.kids[:n:n]
+		cl.kids = cl.kids[n:]
 		for i, ch := range c.Children {
-			cp.Children[i] = ch.Clone()
+			kids[i] = cl.clone(ch)
 		}
+		cp.Children = kids
 	}
 	return cp
 }

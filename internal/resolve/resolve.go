@@ -25,10 +25,10 @@ package resolve
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"xpdl/internal/expr"
 	"xpdl/internal/model"
@@ -38,15 +38,13 @@ import (
 )
 
 // Composition-engine counters in the process-wide registry: group
-// expansion fan-out and flatten-cache effectiveness, the two levers of
+// expansion and flatten-cache effectiveness, the two levers of
 // resolution cost (see /metrics on any obs-enabled tool).
 var (
 	mGroupsExpanded = obs.Default().Counter("xpdl_resolve_groups_expanded_total",
-		"Quantity-groups expanded into member replicas.")
+		"Quantity-groups expanded into member replicas (groups inside a copied member are copied, not expanded).")
 	mGroupMembers = obs.Default().Counter("xpdl_resolve_group_members_total",
-		"Group member instances created by expansion.")
-	mParallelExpansions = obs.Default().Counter("xpdl_resolve_parallel_expansions_total",
-		"Group expansions that fanned out over the worker pool.")
+		"Group member instances created by expansion, copies of the first member included.")
 	mFlattenHits = obs.Default().Counter("xpdl_resolve_flatten_cache_hits_total",
 		"Meta-model flattenings served from the memo cache.")
 	mFlattenMisses = obs.Default().Counter("xpdl_resolve_flatten_cache_misses_total",
@@ -54,48 +52,24 @@ var (
 )
 
 // Resolver composes concrete models against a descriptor repository.
-// A Resolver is not safe for concurrent use by multiple goroutines;
-// parallelism inside one resolution is controlled by Workers.
+// A Resolver is not safe for concurrent use by multiple goroutines; use
+// Fork to give each goroutine its own.
 type Resolver struct {
 	Repo *repo.Repository
 	// MaxDepth bounds meta-model recursion to catch reference cycles
 	// that survive the explicit cycle check (default 64).
 	MaxDepth int
-	// Workers > 1 expands large homogeneous groups concurrently: the
-	// first member is instantiated serially (warming the meta-model
-	// cache), the remaining replicas fan out over a worker pool. Useful
-	// for cluster models whose nodes each expand to thousands of
-	// components.
-	Workers int
-	// ParallelThreshold is the minimum group quantity that triggers
-	// parallel expansion (default 4). Because workers expand their
-	// members serially, fan-out happens at the outermost sufficiently
-	// large group — the granularity where per-member work amortizes the
-	// goroutine and cache-snapshot overhead.
-	ParallelThreshold int
-	// MinParallelCost is the minimum estimated total expansion cost
-	// (template cost × quantity) for parallel fan-out (default 64);
-	// set to 0 to parallelize every group above the threshold.
-	MinParallelCost int
 
 	flatCache map[string]*model.Component // flattened meta-models by name
 	visiting  map[string]bool             // cycle detection for flattening
 }
 
-// New returns a serial resolver over the given repository.
+// New returns a resolver over the given repository.
 func New(r *repo.Repository) *Resolver {
-	return &Resolver{Repo: r, MaxDepth: 64, ParallelThreshold: 4, MinParallelCost: 64,
+	return &Resolver{Repo: r, MaxDepth: 64,
 		flatCache: map[string]*model.Component{},
 		visiting:  map[string]bool{},
 	}
-}
-
-// NewParallel returns a resolver expanding large groups with the given
-// number of workers.
-func NewParallel(r *repo.Repository, workers int) *Resolver {
-	res := New(r)
-	res.Workers = workers
-	return res
 }
 
 // Error is a resolution failure with the position of the offending
@@ -136,21 +110,12 @@ func errf(c *model.Component, format string, args ...any) *Error {
 // flatten cache starts as a snapshot of r's. Forks let callers run many
 // resolutions concurrently — one fork per goroutine — without
 // re-flattening the meta-models those resolutions share (the cached
-// trees are immutable once published, so sharing them is safe). The
-// fork's Workers is zero: callers running forks in parallel already own
-// the fan-out.
+// trees are immutable once published, so sharing them is safe).
 func (r *Resolver) Fork() *Resolver {
-	view := &Resolver{
-		Repo: r.Repo, MaxDepth: r.MaxDepth,
-		ParallelThreshold: r.ParallelThreshold,
-		MinParallelCost:   r.MinParallelCost,
-		flatCache:         make(map[string]*model.Component, len(r.flatCache)),
-		visiting:          map[string]bool{},
+	return &Resolver{Repo: r.Repo, MaxDepth: r.MaxDepth,
+		flatCache: maps.Clone(r.flatCache),
+		visiting:  map[string]bool{},
 	}
-	for k, v := range r.flatCache {
-		view.flatCache[k] = v
-	}
-	return view
 }
 
 // FlattenedMetas returns the meta-model trees flattened so far, sorted
@@ -329,7 +294,11 @@ func isLeafTypeTag(c *model.Component) bool {
 }
 
 // expandChild instantiates one child, expanding quantity-groups into
-// member replicas.
+// member replicas. Members differ only in their ids: each is built from
+// the same template in the same scope, and nothing in instantiate reads
+// the member id. So member 0 is instantiated once and the others are
+// copies of it, which is far cheaper than instantiating each again. A
+// failing group reports member 0's error.
 func (r *Resolver) expandChild(ch *model.Component, sc *scope, depth int) ([]*model.Component, error) {
 	if ch.Kind == "group" && ch.Quantity != "" {
 		n, err := r.evalQuantity(ch, sc)
@@ -340,33 +309,26 @@ func (r *Resolver) expandChild(ch *model.Component, sc *scope, depth int) ([]*mo
 		container.Name, container.ID, container.Prefix = ch.Name, ch.ID, ch.Prefix
 		container.Pos = ch.Pos
 		container.Attrs = ch.Attrs
-		base := memberBaseName(ch)
-		mkMember := func(i int) *model.Component {
-			member := model.New("group")
-			member.ID = base + strconv.Itoa(i)
-			member.Pos = ch.Pos
-			for _, gc := range ch.Children {
-				member.Children = append(member.Children, gc.Clone())
-			}
-			member.Params = cloneParams(ch.Params)
-			member.Consts = cloneConsts(ch.Consts)
-			return member
-		}
 		mGroupsExpanded.Inc()
 		mGroupMembers.Add(int64(n))
 		members := make([]*model.Component, n)
-		if r.Workers > 1 && n >= r.ParallelThreshold && templateCost(ch)*n >= r.MinParallelCost {
-			mParallelExpansions.Inc()
-			if err := r.expandParallel(members, mkMember, sc, depth); err != nil {
+		if n > 0 {
+			base := memberBaseName(ch)
+			first := model.New("group")
+			first.ID = base + "0"
+			first.Pos = ch.Pos
+			for _, gc := range ch.Children {
+				first.Children = append(first.Children, gc.Clone())
+			}
+			first.Params = cloneParams(ch.Params)
+			first.Consts = cloneConsts(ch.Consts)
+			if first, err = r.instantiate(first, sc, depth+1); err != nil {
 				return nil, err
 			}
-		} else {
-			for i := 0; i < n; i++ {
-				inst, err := r.instantiate(mkMember(i), sc, depth+1)
-				if err != nil {
-					return nil, err
-				}
-				members[i] = inst
+			members[0] = first
+			for i := 1; i < n; i++ {
+				members[i] = first.Clone()
+				members[i].ID = base + strconv.Itoa(i)
 			}
 		}
 		container.Children = members
@@ -377,91 +339,6 @@ func (r *Resolver) expandChild(ch *model.Component, sc *scope, depth int) ([]*mo
 		return nil, err
 	}
 	return []*model.Component{inst}, nil
-}
-
-// expandParallel instantiates group members over a worker pool. The
-// first member runs serially so that all meta-models its structure
-// references are flattened into the cache; the remaining replicas are
-// structurally identical, so the workers' cache snapshots are complete
-// and no locking is needed on the shared state. Each worker gets its
-// own Resolver view over a snapshot of the flatten cache.
-func (r *Resolver) expandParallel(members []*model.Component, mkMember func(int) *model.Component, sc *scope, depth int) error {
-	first, err := r.instantiate(mkMember(0), sc, depth+1)
-	if err != nil {
-		return err
-	}
-	members[0] = first
-	if len(members) == 1 {
-		return nil
-	}
-	workers := r.Workers
-	if workers > len(members)-1 {
-		workers = len(members) - 1
-	}
-	// Buffered so submission never blocks even if all workers bail out
-	// early on an error.
-	jobs := make(chan int, len(members)-1)
-	for i := 1; i < len(members); i++ {
-		jobs <- i
-	}
-	close(jobs)
-	errc := make(chan error, 1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Private resolver view: snapshot of the (now warm) cache.
-			view := &Resolver{
-				Repo: r.Repo, MaxDepth: r.MaxDepth,
-				ParallelThreshold: r.ParallelThreshold,
-				MinParallelCost:   r.MinParallelCost,
-				flatCache:         make(map[string]*model.Component, len(r.flatCache)),
-				visiting:          map[string]bool{},
-			}
-			for k, v := range r.flatCache {
-				view.flatCache[k] = v
-			}
-			for i := range jobs {
-				inst, err := view.instantiate(mkMember(i), sc, depth+1)
-				if err != nil {
-					select {
-					case errc <- err:
-					default:
-					}
-					return
-				}
-				members[i] = inst
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		return err
-	default:
-		return nil
-	}
-}
-
-// templateCost estimates the per-member expansion work of a group: the
-// element count of the template, with type references weighted heavily
-// because they pull in whole meta-model subtrees.
-func templateCost(g *model.Component) int {
-	cost := 0
-	for _, ch := range g.Children {
-		ch.Walk(func(x *model.Component) bool {
-			cost++
-			if x.Type != "" {
-				cost += 16
-			}
-			if x.Kind == "group" && x.Quantity != "" {
-				cost += 8
-			}
-			return true
-		})
-	}
-	return cost
 }
 
 // memberBaseName picks the identifier stem for group members: the

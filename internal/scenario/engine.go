@@ -145,9 +145,6 @@ func (e *Engine) Run(ctx context.Context, system string, spec *Spec) (*Result, e
 	}
 
 	rr := resolve.New(e.Repo)
-	if e.Workers > 1 {
-		rr.Workers = e.Workers
-	}
 
 	var onPointMu sync.Mutex
 	emit := func(pos int, pr PointResult) {

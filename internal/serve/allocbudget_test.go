@@ -19,8 +19,9 @@ import (
 // headroom over the measured numbers; a regression that blows through
 // them — an encoder that stopped pooling, a response that started
 // marshaling per request — fails this test and the CI bench gate.
-// The file also holds rtmodel_build_xscluster, which
-// internal/rtmodel's TestBuildAllocBudget reads.
+// The file also holds rtmodel_build_xscluster and resolve_xscluster,
+// which internal/rtmodel's TestBuildAllocBudget and internal/resolve's
+// TestResolveAllocBudget read.
 type allocBudget struct {
 	// SelectBinEncode bounds encoding one indexed-select answer into a
 	// pooled encoder, framing included. This is the protocol layer

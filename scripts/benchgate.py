@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
-"""Bench regression gate for the binary query protocol and the
-runtime-model build (CI).
+"""Bench regression gate for the binary query protocol, the
+runtime-model build and composition (CI).
 
 Reads `go test -bench -benchmem` output on stdin, writes every parsed
 benchmark as JSON (the BENCH_6.json artifact), and fails when the
-binary serving hot paths or rtmodel.Build on XScluster allocate more
-per operation than the checked-in budget in
+binary serving hot paths, rtmodel.Build or resolving XScluster allocate
+more per operation than the checked-in budget in
 internal/serve/testdata/alloc_budget.json — the same ceilings
-TestBinarySelectAllocBudget, TestLargeModelAllocBudget and
-TestBuildAllocBudget enforce in-process, applied here to the benchmark
-numbers that land in the artifact.
+TestBinarySelectAllocBudget, TestLargeModelAllocBudget,
+TestBuildAllocBudget and TestResolveAllocBudget enforce in-process,
+applied here to the benchmark numbers that land in the artifact.
 
 Usage:
-    go test -run=NONE -bench='SelectIndexed|ServeBinary|^BenchmarkBuild$' -benchmem \
-        ./internal/query/ ./internal/serve/ ./internal/rtmodel/ | scripts/benchgate.py BENCH_6.json
+    go test -run=NONE -bench='SelectIndexed|ServeBinary|^BenchmarkBuild$|^BenchmarkResolve$' -benchmem \
+        ./internal/query/ ./internal/serve/ ./internal/rtmodel/ ./internal/resolve/ \
+        | scripts/benchgate.py BENCH_6.json
 """
 
 import json
@@ -36,6 +37,7 @@ GATES = {
     "BenchmarkServeBinary/dispatch-bin": "serve_dispatch_bin_xscluster",
     "BenchmarkServeBinary/batch-xs-bin": "serve_batch_bin_xscluster",
     "BenchmarkBuild": "rtmodel_build_xscluster",
+    "BenchmarkResolve": "resolve_xscluster",
 }
 
 
