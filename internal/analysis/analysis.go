@@ -358,7 +358,7 @@ func Filter(root *model.Component, rules ...FilterRule) int {
 		for name, a := range c.Attrs {
 			for _, r := range rules {
 				if !r(c.Kind, name, a) {
-					delete(c.Attrs, name)
+					c.DeleteAttr(name)
 					removed++
 					break
 				}

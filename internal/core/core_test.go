@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -130,6 +131,41 @@ func TestProcessXSCluster(t *testing.T) {
 	}
 	if res.Stats.Components < 20000 {
 		t.Fatalf("components = %d, expected a large composed tree", res.Stats.Components)
+	}
+}
+
+// TestProcessSharedMapsFrozen checks the sharing rule on the analyzed
+// XScluster tree: an attribute map that two nodes hold is marked shared
+// on both, so neither can write to it in place.
+func TestProcessSharedMapsFrozen(t *testing.T) {
+	for _, opts := range []Options{{}, {RunMicrobenchmarks: true, Seed: 42}} {
+		res, err := newToolchain(t, opts).Process("XScluster")
+		if err != nil {
+			t.Fatal(err)
+		}
+		holders := map[uintptr][]*model.Component{}
+		res.System.Walk(func(c *model.Component) bool {
+			if c.Attrs != nil {
+				p := uintptr(reflect.ValueOf(c.Attrs).UnsafePointer())
+				holders[p] = append(holders[p], c)
+			}
+			return true
+		})
+		shared := 0
+		for _, cs := range holders {
+			if len(cs) < 2 {
+				continue
+			}
+			shared++
+			for _, c := range cs {
+				if !c.Frozen() {
+					t.Fatalf("microbench %v: %s holds a map shared by %d nodes but is not frozen", opts.RunMicrobenchmarks, c, len(cs))
+				}
+			}
+		}
+		if shared == 0 {
+			t.Fatalf("microbench %v: no attribute map is shared between group members", opts.RunMicrobenchmarks)
+		}
 	}
 }
 

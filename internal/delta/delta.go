@@ -468,10 +468,7 @@ func cowClone(system *model.Component, rootIdent string, plan Plan, rules []anal
 		if children != nil {
 			n.Children = children
 		}
-		n.Attrs = make(map[string]model.Attr, len(c.Attrs)+1)
-		for k, v := range c.Attrs {
-			n.Attrs[k] = v
-		}
+		n.OwnAttrs()
 		return &n, true
 	}
 	clone, _ := rec(system, true)

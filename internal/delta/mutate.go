@@ -97,7 +97,7 @@ func Mutations(c *model.Component) []Mutation {
 			if strings.HasSuffix(k, "_unit") {
 				continue // keep companion units paired with their value
 			}
-			delete(m.Attrs, k)
+			m.DeleteAttr(k)
 			return true
 		}
 		return false

@@ -148,10 +148,7 @@ func SyncTree(system *model.Component, rtNew *rtmodel.Model, rootIdent string, p
 		if children != nil {
 			nc.Children = children
 		}
-		nc.Attrs = make(map[string]model.Attr, len(c.Attrs)+1)
-		for k, v := range c.Attrs {
-			nc.Attrs[k] = v
-		}
+		nc.OwnAttrs()
 		patched := false
 		for _, p := range plan.Patches {
 			if nc.Type != p.Type && !(isRoot && rootIdent == p.Type) {

@@ -105,6 +105,11 @@ type Component struct {
 
 	Children []*Component
 	Pos      ast.Pos
+
+	// shared marks Attrs as shared with other components (see Freeze):
+	// the map is read-only, and the first SetAttr or DeleteAttr on this
+	// component copies it.
+	shared bool
 }
 
 // New creates an empty component of the given kind.
@@ -136,12 +141,50 @@ func (c *Component) AttrRaw(name string) string {
 	return c.Attrs[name].Raw
 }
 
-// SetAttr stores an attribute.
+// SetAttr stores an attribute, first copying a shared map.
 func (c *Component) SetAttr(name string, a Attr) {
-	if c.Attrs == nil {
-		c.Attrs = map[string]Attr{}
+	if c.shared || c.Attrs == nil {
+		c.OwnAttrs()
 	}
 	c.Attrs[name] = a
+}
+
+// DeleteAttr removes an attribute, first copying a shared map.
+func (c *Component) DeleteAttr(name string) {
+	if _, ok := c.Attrs[name]; !ok {
+		return
+	}
+	if c.shared {
+		c.OwnAttrs()
+	}
+	delete(c.Attrs, name)
+}
+
+// OwnAttrs gives c a private copy of its attribute map, with room for
+// one more entry, and clears the shared mark, so c may write to Attrs
+// directly. Code that copies a Component struct and then writes to the
+// copy's attributes calls it first: the struct copy carries the shared
+// map and its mark.
+func (c *Component) OwnAttrs() {
+	m := make(map[string]Attr, len(c.Attrs)+1)
+	maps.Copy(m, c.Attrs)
+	c.Attrs, c.shared = m, false
+}
+
+// Frozen reports whether c's attribute map is shared copy-on-write
+// (see Freeze).
+func (c *Component) Frozen() bool { return c.shared }
+
+// Freeze marks every attribute map in c's subtree as shared. From then
+// on Clone hands a node's map to the copy instead of copying it, and
+// the first write through SetAttr or DeleteAttr, on the source or on a
+// copy, copies the map for the writer alone. Nothing else may write to
+// a frozen node's Attrs.
+func (c *Component) Freeze() {
+	c.Walk(func(x *Component) bool {
+		x.shared = true
+		return true
+	})
 }
 
 // SetQuantity stores a normalized quantity attribute.
@@ -251,12 +294,19 @@ func (c *Component) CountKind(kind string) int {
 	return n
 }
 
-// Clone returns a deep copy of the component subtree. The copied
-// components live in one slab and their child pointers in another, so a
-// copy costs two allocations plus the per-node attribute, parameter and
-// property storage. Each node's Children is a capped subslice of the
-// child slab, so appending to one node's children reallocates rather
-// than overwriting a neighbour's.
+// Clone returns a copy of the component subtree. The copied components
+// live in one slab and their child pointers in another, so a copy costs
+// two allocations plus the per-node attribute, parameter and property
+// storage. Each node's Children is a capped subslice of the child slab,
+// so appending to one node's children reallocates rather than
+// overwriting a neighbour's.
+//
+// A frozen node's Attrs map (see Freeze) is not copied: the copy holds
+// the same map and is frozen too, and whichever of them writes first
+// through SetAttr or DeleteAttr gets a private map. Every other map and
+// slice, and the Attrs of every unfrozen node, is copied, so writes to
+// the copy never reach the source and the reverse. Clone only reads its
+// source, so several goroutines may clone one tree at once.
 //
 // Nil-ness of every slice and map is preserved exactly, so a clone is
 // reflect.DeepEqual to its original and serializes identically — sweep
@@ -292,9 +342,13 @@ func (cl *cloner) clone(c *Component) *Component {
 		Kind: c.Kind, Name: c.Name, ID: c.ID, Type: c.Type,
 		Extends: slices.Clone(c.Extends),
 		Prefix:  c.Prefix, Quantity: c.Quantity,
-		Attrs:       maps.Clone(c.Attrs),
+		Attrs:       c.Attrs,
 		Constraints: slices.Clone(c.Constraints),
 		Pos:         c.Pos,
+		shared:      c.shared,
+	}
+	if !c.shared {
+		cp.Attrs = maps.Clone(c.Attrs)
 	}
 	if c.Params != nil {
 		cp.Params = make([]*Param, len(c.Params))

@@ -27,14 +27,25 @@ type TraceID [16]byte
 // SpanID is a 64-bit span identifier; the all-zero value is invalid.
 type SpanID [8]byte
 
-// String renders the ID as 32 lowercase hex digits.
-func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
+// String renders the ID as 32 lowercase hex digits. It encodes into a
+// stack array, so the returned string is its one allocation; every
+// served request renders its trace ID.
+func (t TraceID) String() string {
+	var b [32]byte
+	hex.Encode(b[:], t[:])
+	return string(b[:])
+}
 
 // IsZero reports whether the ID is the invalid all-zero value.
 func (t TraceID) IsZero() bool { return t == TraceID{} }
 
-// String renders the ID as 16 lowercase hex digits.
-func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
+// String renders the ID as 16 lowercase hex digits, in one allocation
+// like TraceID.String.
+func (s SpanID) String() string {
+	var b [16]byte
+	hex.Encode(b[:], s[:])
+	return string(b[:])
+}
 
 // IsZero reports whether the ID is the invalid all-zero value.
 func (s SpanID) IsZero() bool { return s == SpanID{} }

@@ -289,3 +289,24 @@ func FuzzParseTraceparent(f *testing.F) {
 		}
 	})
 }
+
+// TestIDStringOneAlloc pins the hex rendering of trace and span IDs and
+// its cost: one allocation, the returned string.
+func TestIDStringOneAlloc(t *testing.T) {
+	tid := TraceID{0x4b, 0xf9, 0x2f, 0x35, 0x77, 0xb3, 0x4d, 0xa6, 0xa3, 0xce, 0x92, 0x9d, 0x0e, 0x0e, 0x47, 0x36}
+	sid := SpanID{0x00, 0xf0, 0x67, 0xaa, 0x0b, 0xa9, 0x02, 0xb7}
+	if got, want := tid.String(), "4bf92f3577b34da6a3ce929d0e0e4736"; got != want {
+		t.Fatalf("TraceID.String = %q, want %q", got, want)
+	}
+	if got, want := sid.String(), "00f067aa0ba902b7"; got != want {
+		t.Fatalf("SpanID.String = %q, want %q", got, want)
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = tid.String() }); n != 1 {
+		t.Errorf("TraceID.String: %.0f allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = sid.String() }); n != 1 {
+		t.Errorf("SpanID.String: %.0f allocs, want 1", n)
+	}
+	_ = sink
+}

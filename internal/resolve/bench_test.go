@@ -41,8 +41,9 @@ func BenchmarkResolve(b *testing.B) {
 
 // TestResolveAllocBudget gates the allocations of resolving XScluster
 // in process. Group members after the first are copies of it, each one
-// slab of components and one of child pointers plus the per-node maps;
-// instantiating every member again allocates several times as much.
+// slab of components and one of child pointers, sharing member 0's
+// attribute maps until a write; copying those maps per member, or
+// instantiating every member again, allocates many times as much.
 func TestResolveAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

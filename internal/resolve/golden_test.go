@@ -69,10 +69,9 @@ var goldenFixtures = []struct {
 </cpu>`,
 	}},
 	// A group that carries params, consts, constraints and properties of
-	// its own; members see the params and consts in scope. Its golden
-	// records a known defect: expandChild drops the group's own
-	// <constraints> and <properties>, so none appear in the composed
-	// tree. Regenerate this golden with -update when that is fixed.
+	// its own; members see the params and consts in scope. Every member
+	// carries the group's constraints, checked in its scope, and the
+	// container carries its properties.
 	{"group_decls", "g", map[string]string{
 		"g": `
 <cpu id="g">
@@ -197,6 +196,14 @@ func TestGroupMemberErrorParity(t *testing.T) {
     <core frequency="f" frequency_unit="MHz"/>
   </group>
 </cpu>`, `resolve: r.xpdl:5:5: <core>: attribute frequency references unbound parameter "f"`, false},
+		{"group_constraint", `
+<cpu id="r">
+  <group prefix="m" quantity="3">
+    <param name="mode" value="5"/>
+    <constraints><constraint expr="mode &lt; 2"/></constraints>
+    <core/>
+  </group>
+</cpu>`, "resolve: r.xpdl:3:3: m0: constraint violated: mode < 2", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := New(newRepo(t, map[string]string{"r": tc.src})).ResolveSystem("r")

@@ -26,6 +26,7 @@ package resolve
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -299,6 +300,12 @@ func isLeafTypeTag(c *model.Component) bool {
 // the member id. So member 0 is instantiated once and the others are
 // copies of it, which is far cheaper than instantiating each again. A
 // failing group reports member 0's error.
+//
+// Member 0 is frozen before it is copied, so all members share each
+// node's attribute map until one of them writes to it. The group's own
+// constraints are checked in member 0's scope, where its params are
+// bound, and its properties stay on the container beside its
+// attributes.
 func (r *Resolver) expandChild(ch *model.Component, sc *scope, depth int) ([]*model.Component, error) {
 	if ch.Kind == "group" && ch.Quantity != "" {
 		n, err := r.evalQuantity(ch, sc)
@@ -308,7 +315,7 @@ func (r *Resolver) expandChild(ch *model.Component, sc *scope, depth int) ([]*mo
 		container := model.New("group")
 		container.Name, container.ID, container.Prefix = ch.Name, ch.ID, ch.Prefix
 		container.Pos = ch.Pos
-		container.Attrs = ch.Attrs
+		container.Attrs, container.Properties = ch.Attrs, ch.Properties
 		mGroupsExpanded.Inc()
 		mGroupMembers.Add(int64(n))
 		members := make([]*model.Component, n)
@@ -322,8 +329,12 @@ func (r *Resolver) expandChild(ch *model.Component, sc *scope, depth int) ([]*mo
 			}
 			first.Params = cloneParams(ch.Params)
 			first.Consts = cloneConsts(ch.Consts)
+			first.Constraints = slices.Clone(ch.Constraints)
 			if first, err = r.instantiate(first, sc, depth+1); err != nil {
 				return nil, err
+			}
+			if n > 1 {
+				first.Freeze()
 			}
 			members[0] = first
 			for i := 1; i < n; i++ {

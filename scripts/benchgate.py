@@ -4,15 +4,16 @@ runtime-model build and composition (CI).
 
 Reads `go test -bench -benchmem` output on stdin, writes every parsed
 benchmark as JSON (the BENCH_6.json artifact), and fails when the
-binary serving hot paths, rtmodel.Build or resolving XScluster allocate
-more per operation than the checked-in budget in
+binary serving hot paths, rtmodel.Build, resolving XScluster or a whole
+cold XScluster load (parse, resolve, analyze, build, fingerprint)
+allocate more per operation than the checked-in budget in
 internal/serve/testdata/alloc_budget.json — the same ceilings
 TestBinarySelectAllocBudget, TestLargeModelAllocBudget,
 TestBuildAllocBudget and TestResolveAllocBudget enforce in-process,
 applied here to the benchmark numbers that land in the artifact.
 
 Usage:
-    go test -run=NONE -bench='SelectIndexed|ServeBinary|^BenchmarkBuild$|^BenchmarkResolve$' -benchmem \
+    go test -run=NONE -bench='SelectIndexed|ServeBinary|^BenchmarkBuild$|^BenchmarkResolve$|^BenchmarkFullRefresh$' -benchmem \
         ./internal/query/ ./internal/serve/ ./internal/rtmodel/ ./internal/resolve/ \
         | scripts/benchgate.py BENCH_6.json
 """
@@ -38,6 +39,7 @@ GATES = {
     "BenchmarkServeBinary/batch-xs-bin": "serve_batch_bin_xscluster",
     "BenchmarkBuild": "rtmodel_build_xscluster",
     "BenchmarkResolve": "resolve_xscluster",
+    "BenchmarkFullRefresh": "serve_full_refresh_xscluster",
 }
 
 
