@@ -94,7 +94,7 @@ func BenchmarkSelectIndexed(b *testing.B) {
 
 // bundledSession resolves one of the repository's bundled models
 // through the toolchain — the E17 "real model" comparison point.
-func bundledSession(b *testing.B, system string) *Session {
+func bundledSession(b testing.TB, system string) *Session {
 	b.Helper()
 	_, file, _, ok := runtime.Caller(0)
 	if !ok {

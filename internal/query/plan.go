@@ -309,18 +309,63 @@ type selIndex struct {
 	// paths holds every node's slash-separated identifier path, built
 	// once per immutable model so Elem.Path on the serving hot path is
 	// a slice load instead of an ancestor walk with string joins.
+	// Joined paths are substrings of one arena per snapshot, so a path
+	// kept past its snapshot pins the whole arena. Today paths leave
+	// the index only to be copied into encoded answers (refOf and
+	// elementOf in internal/serve) or printed by the CLI; keep it so.
 	paths []string
 }
 
+// buildSelIndex builds the indexes in two passes over the preorder
+// nodes so that each structure is allocated once at its final size.
+// The counting pass counts the postings of every key and measures
+// every path. The filling pass appends each node to capped runs of one
+// posting slab, so a full run is slab[lo:hi:hi] and an append past it
+// cannot reach its neighbour, and writes each joined path once into
+// one arena.
 func buildSelIndex(s *Session) *selIndex {
-	idx := &selIndex{
-		byKind:     map[string][]int32{},
-		byKindName: map[kindName][]int32{},
-		byID:       map[string][]int32{},
-		paths:      make([]string, len(s.m.Nodes)),
+	nodes := s.m.Nodes
+	kinds := map[string]int32{}
+	names := map[kindName]int32{}
+	ids := map[string]int32{}
+	plen := make([]int, len(nodes))
+	postings, arena := 0, 0
+	for i := range nodes {
+		n := &nodes[i]
+		kinds[n.Kind]++
+		postings++
+		if n.Name != "" {
+			names[kindName{n.Kind, n.Name}]++
+			postings++
+		}
+		if n.ID != "" {
+			ids[n.ID]++
+			postings++
+		}
+		// Mirrors the path cases of the filling pass on lengths.
+		ident := n.Ident()
+		switch p := n.Parent; {
+		case p < 0 || p >= int32(i):
+			plen[i] = len(ident)
+		case ident == "":
+			plen[i] = plen[p]
+		case plen[p] == 0:
+			plen[i] = len(ident)
+		default:
+			plen[i] = plen[p] + 1 + len(ident)
+			arena += plen[i]
+		}
 	}
-	for i := range s.m.Nodes {
-		n := &s.m.Nodes[i]
+
+	slab := make([]int32, postings)
+	idx := &selIndex{paths: make([]string, len(nodes))}
+	idx.byKind, slab = carve(kinds, slab)
+	idx.byKindName, slab = carve(names, slab)
+	idx.byID, _ = carve(ids, slab)
+	var b strings.Builder
+	b.Grow(arena)
+	for i := range nodes {
+		n := &nodes[i]
 		pi := int32(i)
 		idx.byKind[n.Kind] = append(idx.byKind[n.Kind], pi)
 		if n.Name != "" {
@@ -333,18 +378,33 @@ func buildSelIndex(s *Session) *selIndex {
 		// Nodes are stored in preorder (parents precede children, which
 		// the loader enforces), so the parent path is always computed.
 		ident := n.Ident()
-		switch {
-		case n.Parent < 0 || n.Parent >= pi:
+		switch p := n.Parent; {
+		case p < 0 || p >= pi:
 			idx.paths[i] = ident
 		case ident == "":
-			idx.paths[i] = idx.paths[n.Parent]
-		case idx.paths[n.Parent] == "":
+			idx.paths[i] = idx.paths[p]
+		case idx.paths[p] == "":
 			idx.paths[i] = ident
 		default:
-			idx.paths[i] = idx.paths[n.Parent] + "/" + ident
+			start := b.Len()
+			b.WriteString(idx.paths[p])
+			b.WriteByte('/')
+			b.WriteString(ident)
+			idx.paths[i] = b.String()[start:]
 		}
 	}
 	return idx
+}
+
+// carve makes a map holding, for every counted key, an empty run of
+// slab with room for exactly its count, and returns the rest of slab.
+func carve[K comparable](counts map[K]int32, slab []int32) (map[K][]int32, []int32) {
+	m := make(map[K][]int32, len(counts))
+	for k, c := range counts {
+		m[k] = slab[:0:c]
+		slab = slab[c:]
+	}
+	return m, slab
 }
 
 // indexes returns the session's selector indexes, building them on

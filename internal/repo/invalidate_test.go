@@ -2,8 +2,11 @@ package repo
 
 import (
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"xpdl/internal/model"
 	"xpdl/internal/repo/server"
@@ -162,5 +165,74 @@ func TestInvalidateRemoteRevalidates304(t *testing.T) {
 	}
 	if got := c.AttrRaw("static_power"); got != "30" {
 		t.Fatalf("static_power = %q, want fresh 30", got)
+	}
+}
+
+// TestRevalidateDropsChangedFiles: Revalidate drops exactly the cached
+// local descriptors whose file changed size or mtime or is gone, keeps
+// the rest and in-memory registrations, and has nothing to check right
+// after Invalidate.
+func TestRevalidateDropsChangedFiles(t *testing.T) {
+	dir := t.TempDir()
+	writeModels(t, dir, map[string]string{
+		"a.xpdl": `<cache name="A" size="128" unit="KiB" />`,
+		"b.xpdl": `<cache name="B" size="128" unit="KiB" />`,
+		"c.xpdl": `<cache name="C" size="128" unit="KiB" />`,
+		"d.xpdl": `<cache name="D" size="128" unit="KiB" />`,
+	})
+	r, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Register(&model.Component{Kind: "cpu", Name: "synthetic"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Revalidate(); n != 0 {
+		t.Fatalf("Revalidate of untouched files dropped %d", n)
+	}
+	// A: same size, later mtime. B: different size, same mtime.
+	// C: removed. D: untouched.
+	a := filepath.Join(dir, "a.xpdl")
+	info, err := os.Stat(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeModels(t, dir, map[string]string{
+		"a.xpdl": `<cache name="A" size="256" unit="KiB" />`,
+		"b.xpdl": `<cache name="B" size="1024" unit="KiB" />`,
+	})
+	if err := os.Chtimes(a, info.ModTime(), info.ModTime().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	b := filepath.Join(dir, "b.xpdl")
+	if err := os.Chtimes(b, info.ModTime(), info.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "c.xpdl")); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Revalidate(); n != 3 {
+		t.Fatalf("Revalidate dropped %d, want 3 (A, B, C)", n)
+	}
+	for ident, want := range map[string]bool{"A": false, "B": false, "C": false, "D": true, "synthetic": true} {
+		if got := r.Has(ident); got != want {
+			t.Errorf("Has(%s) = %v after Revalidate, want %v", ident, got, want)
+		}
+	}
+	for ident, want := range map[string]string{"A": "256", "B": "1024", "D": "128"} {
+		c, err := r.Load(ident)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.AttrRaw("size"); got != want {
+			t.Errorf("%s size = %q, want %q", ident, got, want)
+		}
+	}
+	if n := r.Revalidate(); n != 0 {
+		t.Fatalf("Revalidate after the re-parse dropped %d, want 0", n)
+	}
+	r.Invalidate()
+	if n := r.Revalidate(); n != 0 {
+		t.Fatalf("Revalidate after Invalidate dropped %d, want 0", n)
 	}
 }

@@ -43,6 +43,11 @@ type allocBudget struct {
 	ServeEvalBinLarge     float64 `json:"serve_eval_bin_xscluster"`
 	ServeDispatchBinLarge float64 `json:"serve_dispatch_bin_xscluster"`
 	ServeBatchBinLarge    float64 `json:"serve_batch_bin_xscluster"`
+	// ServePrepare bounds readying one full XScluster snapshot for
+	// publishing: selector indexes, summary and tree. The sized builders
+	// allocate a fixed handful of arrays per snapshot, where a per-node
+	// builder allocates one or more per element.
+	ServePrepare float64 `json:"serve_prepare_xscluster"`
 }
 
 // inProcess drives one request straight into a Server with a

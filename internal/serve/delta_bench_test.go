@@ -82,8 +82,10 @@ func BenchmarkDeltaRefresh(b *testing.B) {
 
 // BenchmarkPrepare measures the publish tax of one full XScluster
 // snapshot: selector index build plus the answers rendered before the
-// pointer swap (EXPERIMENTS.md E23). Each iteration prepares a fresh
-// session over the same runtime model, as a cold load would.
+// pointer swap (EXPERIMENTS.md E23, E28). Each iteration prepares a
+// fresh session over the same runtime model, as a cold load would. CI
+// gates its allocations (serve_prepare_xscluster in
+// testdata/alloc_budget.json).
 func BenchmarkPrepare(b *testing.B) {
 	_, snap, _, _ := benchRefreshSetup(b)
 	m := snap.Session.Model()
@@ -92,5 +94,32 @@ func BenchmarkPrepare(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := &Snapshot{Ident: snap.Ident, Session: query.NewSession(m)}
 		prepare(s)
+	}
+}
+
+// TestPrepareAllocBudget gates BenchmarkPrepare's allocations in
+// process against serve_prepare_xscluster.
+func TestPrepareAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	budget := readAllocBudget(t)
+	if budget.ServePrepare <= 0 {
+		t.Fatal("alloc_budget.json has no serve_prepare_xscluster budget")
+	}
+	loader, err := NewToolchainLoader(core.Options{SearchPaths: []string{modelsDir(t)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := loader.Load(context.Background(), "XScluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := snap.Session.Model()
+	got := testing.AllocsPerRun(3, func() {
+		prepare(&Snapshot{Ident: snap.Ident, Session: query.NewSession(m)})
+	})
+	if got > budget.ServePrepare {
+		t.Errorf("prepare(XScluster): %.0f allocs, budget %.0f", got, budget.ServePrepare)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"xpdl/internal/obs"
+	"xpdl/internal/query"
 	"xpdl/internal/rtmodel"
 )
 
@@ -107,11 +108,33 @@ func preSummary(snap *Snapshot) preEncoded {
 	return preEncoded{body: marshalIndented(sum), bin: encodeBin(&sum)}
 }
 
-// treeOf renders the snapshot's text tree.
+// treeOf renders the snapshot's text tree into a buffer sized to the
+// exact rendered length, so the render allocates its bytes once.
 func treeOf(snap *Snapshot) []byte {
-	var b bytes.Buffer
-	_ = WriteTree(&b, snap.Session.Root())
+	root := snap.Session.Root()
+	b := bytes.NewBuffer(make([]byte, 0, treeSize(root, 0)))
+	_ = WriteTree(b, root)
 	return b.Bytes()
+}
+
+// treeSize returns the length of WriteTree's rendering of the subtree
+// at e, drawn at the given depth. It follows WriteTree's line layout;
+// TestTreeOfSized checks that the two agree.
+func treeSize(e query.Elem, depth int) int {
+	if !e.Valid() {
+		return 0
+	}
+	n := 2*depth + len(e.Kind()) + 1
+	if id := e.Ident(); id != "" {
+		n += 1 + len(id)
+	}
+	if t := e.TypeName(); t != "" {
+		n += 3 + len(t)
+	}
+	for i := range e.NumChildren() {
+		n += treeSize(e.Child(i), depth+1)
+	}
+	return n
 }
 
 // exportJSON returns the snapshot's JSON export, rendering it on the

@@ -138,6 +138,12 @@ func (l *ToolchainLoader) loadLocked(ctx context.Context, systemID string) (*Sna
 	}
 	sp.SetAttr("system", systemID)
 	defer sp.Stop()
+	// A cold load resolves from the descriptor cache; drop the entries
+	// whose files were edited since they were parsed, so a first load
+	// or a reload after eviction never resolves a pre-edit file.
+	if n := l.tc.Repo.Revalidate(); n > 0 {
+		sp.Event("dropped %d cached descriptors changed on disk", n)
+	}
 	res, err := l.tc.ProcessContext(ctx, systemID)
 	if err != nil {
 		return nil, fmt.Errorf("serve: load %s: %w", systemID, err)

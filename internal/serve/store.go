@@ -165,11 +165,13 @@ func changedSummary(old, cur *Snapshot) []string {
 // toolchain on first use (or after eviction). The returned snapshot is
 // immutable; callers use it for the duration of one request.
 //
-// A cold load does not invalidate the loader's descriptor cache: it
-// resolves what that cache holds, which is as fresh as the last
-// revalidation cycle or POST /v1/models/{model}/refresh — the same
-// staleness bound a resident snapshot has. Invalidating here would
-// cost one conditional request per remote descriptor on every load.
+// A cold load does not invalidate the loader's descriptor cache:
+// invalidating here would cost one conditional request per remote
+// descriptor on every load. ToolchainLoader instead drops the cached
+// local descriptors whose files changed since they were parsed
+// (repo.Repository.Revalidate), so local edits are always seen; remote
+// descriptors are as fresh as the last revalidation cycle or
+// POST /v1/models/{model}/refresh.
 func (st *Store) Get(ctx context.Context, ident string) (*Snapshot, error) {
 	st.mu.RLock()
 	e := st.entries[ident]

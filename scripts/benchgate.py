@@ -4,16 +4,18 @@ runtime-model build and composition (CI).
 
 Reads `go test -bench -benchmem` output on stdin, writes every parsed
 benchmark as JSON (the BENCH_6.json artifact), and fails when the
-binary serving hot paths, rtmodel.Build, resolving XScluster or a whole
-cold XScluster load (parse, resolve, analyze, build, fingerprint)
+binary serving hot paths, rtmodel.Build, resolving XScluster, a whole
+cold XScluster load (parse, resolve, analyze, build, fingerprint) or
+readying its snapshot for publishing (selector indexes, summary, tree)
 allocate more per operation than the checked-in budget in
 internal/serve/testdata/alloc_budget.json — the same ceilings
 TestBinarySelectAllocBudget, TestLargeModelAllocBudget,
-TestBuildAllocBudget and TestResolveAllocBudget enforce in-process,
+TestBuildAllocBudget, TestResolveAllocBudget and TestPrepareAllocBudget
+enforce in-process,
 applied here to the benchmark numbers that land in the artifact.
 
 Usage:
-    go test -run=NONE -bench='SelectIndexed|ServeBinary|^BenchmarkBuild$|^BenchmarkResolve$|^BenchmarkFullRefresh$' -benchmem \
+    go test -run=NONE -bench='SelectIndexed|ServeBinary|^BenchmarkBuild$|^BenchmarkResolve$|^BenchmarkFullRefresh$|^BenchmarkPrepare$' -benchmem \
         ./internal/query/ ./internal/serve/ ./internal/rtmodel/ ./internal/resolve/ \
         | scripts/benchgate.py BENCH_6.json
 """
@@ -40,6 +42,7 @@ GATES = {
     "BenchmarkBuild": "rtmodel_build_xscluster",
     "BenchmarkResolve": "resolve_xscluster",
     "BenchmarkFullRefresh": "serve_full_refresh_xscluster",
+    "BenchmarkPrepare": "serve_prepare_xscluster",
 }
 
 
